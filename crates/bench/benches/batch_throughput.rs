@@ -1,14 +1,17 @@
 //! Criterion bench of the batched lockstep engine: population-steps per
 //! second at batch widths 1, 4 and 16 versus the scalar per-member loop
 //! over the same total work. The batched path decodes each trace chunk
-//! once per group; the scalar path regenerates it once per member — the
-//! gap between the two curves is exactly the amortized generation cost.
+//! once per group (through a zero-budget chunk cache, as production
+//! sweeps do); the scalar path regenerates it once per member — the gap
+//! between the two curves is exactly the amortized generation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exynos_bench::batch::PopulationBatch;
+use exynos_core::batch::{CachedStream, ChunkCache};
 use exynos_core::builder::SimBuilder;
 use exynos_core::config::CoreConfig;
 use exynos_trace::{standard_suite, SlicePlan};
+use std::sync::Arc;
 
 const PLAN: SlicePlan = SlicePlan { warmup: 2_000, detail: 2_000 };
 
@@ -48,8 +51,9 @@ fn bench_batch(c: &mut Criterion) {
                 for sim in members(width) {
                     batch.push(sim);
                 }
-                let mut gen = slice.build().unwrap();
-                let r = batch.run_slice_lockstep(&mut *gen, PLAN).expect("clean bench slice");
+                let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+                let mut stream = CachedStream::for_slice(cache, slice);
+                let r = batch.run_slice(&mut stream, PLAN).expect("clean bench slice");
                 r.len()
             })
         });

@@ -3,55 +3,45 @@
 //! A population sweep runs every generation (M1..M6) over the *same*
 //! workload slice, and trace generators are pure functions of
 //! `(SliceSpec, seed)` — so all members of one (slice) group consume an
-//! identical instruction stream. The scalar engine regenerates that
-//! stream once per member; a [`PopulationBatch`] decodes each chunk of
-//! records **once** and steps every member over the shared slice of
-//! decoded records, amortizing generation/decode across the group.
+//! identical instruction stream. A [`PopulationBatch`] draws each block
+//! of decoded records **once** from a [`CachedStream`] and steps every
+//! member over it, amortizing generation/decode across the group.
 //!
 //! Correctness is anchored on a simple identity: simulators share no
 //! mutable state, and feeding each member the exact record sequence it
-//! would have generated itself — in chunk-major, member-minor order —
-//! performs the very same `Simulator::step` calls the scalar path does,
-//! in the same per-member order. Results are therefore **bit-identical**
-//! to the scalar engine for any member count and chunk size; the
-//! `batch_determinism` integration test and the `bench` subcommand's
-//! hard gate both assert it.
+//! would have generated itself — in block-major, member-minor order —
+//! performs the very same `Simulator::step` calls the scalar
+//! `Simulator::run_slice` does, in the same per-member order. Results are
+//! therefore **bit-identical** to the scalar path for any member count,
+//! block size and cache budget; the `batch_determinism` integration test
+//! asserts it against a scalar oracle.
 //!
-//! The lockstep invariant also makes the members' *architectural*
-//! predictor inputs (global/path history) identical at every step, which
-//! is what the structure-of-arrays probe paths in the component crates
-//! exploit: [`exynos_branch::shp::predict_batch`] computes one row-index
-//! set per SHP geometry group and reuses it for every member's
-//! dot-product. [`PopulationBatch::probe`] bundles those batch probes.
+//! "Uncached" is not a separate path: a
+//! [`ChunkCache::with_budget`](exynos_core::batch::ChunkCache::with_budget)
+//! of `Some(0)` stores nothing, so every block is materialized once and
+//! dropped after the members have stepped it.
 
-use exynos_branch::btb::BtbEntry;
-use exynos_branch::shp::ShpPrediction;
-use exynos_branch::ubtb::UbtbPrediction;
-use exynos_core::batch::{CachedStream, InstChunk, CHUNK_LEN};
+use exynos_core::batch::{CachedStream, CHUNK_LEN};
 use exynos_core::sim::{Simulator, SliceMeasure, SliceResult};
 use exynos_core::SimError;
-use exynos_trace::{Inst, SlicePlan, TraceError, TraceGen};
-use std::ops::Range;
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Instant;
+use exynos_trace::{Inst, SlicePlan};
 
 /// A same-trace group of simulators advanced in lockstep over one shared
 /// decoded record stream.
 #[derive(Debug, Default)]
 pub struct PopulationBatch {
     members: Vec<Simulator>,
-    chunk: InstChunk,
 }
 
 impl PopulationBatch {
     /// An empty batch; add members with [`PopulationBatch::push`].
     pub fn new() -> PopulationBatch {
-        PopulationBatch { members: Vec::new(), chunk: InstChunk::new() }
+        PopulationBatch { members: Vec::new() }
     }
 
     /// Add a member. Members must all be fed the same trace — the caller
-    /// guarantees they belong to the same (slice, seed) group.
+    /// guarantees they belong to the same (slice, seed) group and have
+    /// consumed the same number of its records.
     pub fn push(&mut self, sim: Simulator) {
         self.members.push(sim);
     }
@@ -71,42 +61,38 @@ impl PopulationBatch {
         &self.members
     }
 
-    /// Take the members back out, in insertion order.
-    pub fn into_members(self) -> Vec<Simulator> {
-        self.members
-    }
-
-    /// Advance every member `n` instructions in lockstep: refill the
-    /// shared chunk from `gen` (at most [`CHUNK_LEN`] records), then run
-    /// each member over the decoded slice. Per member this performs
-    /// exactly the `step` sequence a private generator would have.
-    pub fn run_lockstep(&mut self, gen: &mut dyn TraceGen, n: u64) -> Result<(), SimError> {
-        let mut rem = n;
-        while rem > 0 {
-            let take = rem.min(CHUNK_LEN as u64) as usize;
-            self.chunk.refill(gen, take);
-            for sim in &mut self.members {
-                sim.run_block(self.chunk.as_slice())?;
-            }
-            rem -= take as u64;
-        }
-        Ok(())
-    }
-
     /// Lockstep equivalent of every member running
-    /// `run_slice(own_gen, plan)` over a freshly seeded copy of the same
-    /// generator: warmup in lockstep, snapshot each member's measurement
-    /// baseline, detail in lockstep, then derive one [`SliceResult`] per
-    /// member (member order). Bit-identical to the scalar path.
-    pub fn run_slice_lockstep(
+    /// `Simulator::run_slice(own_gen, plan)` from the stream's cursor:
+    /// `plan.warmup + plan.detail` records are drawn from `stream`, each
+    /// block exactly once, and every member steps each block in turn.
+    /// The block that straddles the warmup/detail boundary is split there
+    /// so each member's measurement baseline lands on the same
+    /// instruction as in the scalar path. Returns one [`SliceResult`] per
+    /// member, in member order.
+    pub fn run_slice(
         &mut self,
-        gen: &mut dyn TraceGen,
+        stream: &mut CachedStream,
         plan: SlicePlan,
     ) -> Result<Vec<SliceResult>, SimError> {
-        self.run_lockstep(gen, plan.warmup)?;
-        let measures: Vec<SliceMeasure> =
-            self.members.iter().map(Simulator::measure_begin).collect();
-        self.run_lockstep(gen, plan.detail)?;
+        let total = plan.warmup + plan.detail;
+        let mut measures = (plan.warmup == 0).then(|| self.measure_begin());
+        let mut done = 0u64;
+        while done < total {
+            let take = (total - done).min(CHUNK_LEN as u64) as usize;
+            let (chunk, range) = stream.next_block(take).map_err(SimError::from)?;
+            let mut block = &chunk[range];
+            if measures.is_none() && done + block.len() as u64 >= plan.warmup {
+                let (head, tail) = block.split_at((plan.warmup - done) as usize);
+                self.step_all(head)?;
+                done += head.len() as u64;
+                measures = Some(self.measure_begin());
+                block = tail;
+            }
+            self.step_all(block)?;
+            done += block.len() as u64;
+        }
+        // `warmup <= total`, so the loop always crossed the boundary.
+        let measures = measures.unwrap_or_else(|| self.measure_begin());
         Ok(self
             .members
             .iter()
@@ -115,286 +101,57 @@ impl PopulationBatch {
             .collect())
     }
 
-    /// Cached equivalent of [`PopulationBatch::run_lockstep`]: advance
-    /// every member `n` instructions over blocks drawn through the shared
-    /// chunk cache. Per member this performs exactly the same `step`
-    /// sequence — block granularity (which differs from the uncached
-    /// path near warmup boundaries, since cached blocks never cross
-    /// canonical chunk edges) is invisible to results because
-    /// `run_block` is a plain per-record step loop.
-    pub fn run_lockstep_cached(
-        &mut self,
-        stream: &mut CachedStream,
-        n: u64,
-    ) -> Result<(), SimError> {
-        let mut rem = n;
-        while rem > 0 {
-            let take = rem.min(CHUNK_LEN as u64) as usize;
-            let (chunk, range) = stream.next_block(take).map_err(SimError::from)?;
-            let block = &chunk[range];
-            for sim in &mut self.members {
-                sim.run_block(block)?;
-            }
-            rem -= block.len() as u64;
+    fn step_all(&mut self, block: &[Inst]) -> Result<(), SimError> {
+        for sim in &mut self.members {
+            sim.run_block(block)?;
         }
         Ok(())
     }
 
-    /// Cached (and optionally pipelined) equivalent of
-    /// [`PopulationBatch::run_slice_lockstep`].
-    ///
-    /// * `pipelined = false` — interleaved-on-miss: blocks are pulled
-    ///   through the cache inline; a miss materializes on the consumer
-    ///   thread. The right mode for single-core hosts.
-    /// * `pipelined = true` — double-buffered: a scoped producer thread
-    ///   pulls block k+1 through the cache while the members step block
-    ///   k (a bounded rendezvous channel of depth 1 is the double
-    ///   buffer). Consumer wait time is recorded to the cache's
-    ///   `pipeline_stall` samples.
-    ///
-    /// Both modes feed every member the identical record sequence the
-    /// uncached lockstep path would, splitting precisely at the
-    /// warmup/detail boundary for `measure_begin`, so results stay
-    /// bit-identical for any cache budget including zero.
-    pub fn run_slice_cached(
-        &mut self,
-        stream: &mut CachedStream,
-        plan: SlicePlan,
-        pipelined: bool,
-    ) -> Result<Vec<SliceResult>, SimError> {
-        if !pipelined {
-            self.run_lockstep_cached(stream, plan.warmup)?;
-            let measures: Vec<SliceMeasure> =
-                self.members.iter().map(Simulator::measure_begin).collect();
-            self.run_lockstep_cached(stream, plan.detail)?;
-            return Ok(self
-                .members
-                .iter()
-                .zip(&measures)
-                .map(|(s, m)| s.measure_end(m))
-                .collect());
-        }
-        self.run_slice_pipelined(stream, plan)
+    fn measure_begin(&self) -> Vec<SliceMeasure> {
+        self.members.iter().map(Simulator::measure_begin).collect()
     }
-
-    /// The double-buffered producer/consumer path behind
-    /// [`PopulationBatch::run_slice_cached`].
-    fn run_slice_pipelined(
-        &mut self,
-        stream: &mut CachedStream,
-        plan: SlicePlan,
-    ) -> Result<Vec<SliceResult>, SimError> {
-        type Block = Result<(Arc<Vec<Inst>>, Range<usize>), TraceError>;
-        let total = plan.warmup + plan.detail;
-        let cache = Arc::clone(stream.cache());
-        let mut measures: Option<Vec<SliceMeasure>> = None;
-        if plan.warmup == 0 {
-            measures = Some(self.members.iter().map(Simulator::measure_begin).collect());
-        }
-        let members = &mut self.members;
-        let run = std::thread::scope(|scope| -> Result<(), SimError> {
-            let (tx, rx) = mpsc::sync_channel::<Block>(1);
-            scope.spawn(move || {
-                let mut rem = total;
-                while rem > 0 {
-                    let take = rem.min(CHUNK_LEN as u64) as usize;
-                    match stream.next_block(take) {
-                        Ok((chunk, range)) => {
-                            rem -= range.len() as u64;
-                            if tx.send(Ok((chunk, range))).is_err() {
-                                return; // consumer bailed (error path)
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            });
-            let mut done = 0u64;
-            while done < total {
-                let wait = Instant::now();
-                let block = match rx.recv() {
-                    Ok(b) => b,
-                    // Producer gone without delivering: its error (if
-                    // any) was already sent; a clean disconnect here
-                    // means counts disagreed, which the loop bound
-                    // makes unreachable — treat as a typed trace error.
-                    Err(_) => {
-                        return Err(SimError::from(TraceError::program(
-                            "pipeline",
-                            "producer stopped early",
-                        )))
-                    }
-                };
-                cache.record_stall(wait.elapsed().as_micros() as u64);
-                let (chunk, range) = block.map_err(SimError::from)?;
-                let mut block = &chunk[range];
-                // Split mid-block at the warmup/detail boundary so the
-                // measurement baseline lands on the same instruction it
-                // does in every other engine path.
-                if measures.is_none() && done + block.len() as u64 >= plan.warmup {
-                    let split = (plan.warmup - done) as usize;
-                    let (head, tail) = block.split_at(split);
-                    for sim in members.iter_mut() {
-                        sim.run_block(head)?;
-                    }
-                    done += split as u64;
-                    measures =
-                        Some(members.iter().map(Simulator::measure_begin).collect());
-                    block = tail;
-                }
-                for sim in members.iter_mut() {
-                    sim.run_block(block)?;
-                }
-                done += block.len() as u64;
-            }
-            Ok(())
-        });
-        run?;
-        let measures = match measures {
-            Some(m) => m,
-            // total >= warmup guarantees the boundary was crossed.
-            None => self.members.iter().map(Simulator::measure_begin).collect(),
-        };
-        Ok(self
-            .members
-            .iter()
-            .zip(&measures)
-            .map(|(s, m)| s.measure_end(m))
-            .collect())
-    }
-
-    /// One batched, read-only probe of every member's hot predictor and
-    /// cache state at (`pc`, `addr`): SHP direction (neutral bias),
-    /// BTB hierarchy, µBTB, L1D tag array and µOC block array, each
-    /// through its structure-of-arrays `*_batch` path. Results land in
-    /// `out` in member order; `out`'s buffers are reused across calls.
-    pub fn probe(&self, pc: u64, addr: u64, out: &mut BatchProbe) {
-        let shps: Vec<&exynos_branch::shp::Shp> =
-            self.members.iter().map(|s| s.frontend().shp()).collect();
-        out.biases.clear();
-        out.biases.resize(shps.len(), 0);
-        match self.members.first() {
-            // Lockstep members carry identical architectural history, so
-            // the group shares the lead member's.
-            Some(lead) => {
-                let (ghist, phist) = lead.frontend().histories();
-                exynos_branch::shp::predict_batch(&shps, pc, &out.biases, ghist, phist, &mut out.shp);
-            }
-            None => out.shp.clear(),
-        }
-        let btbs: Vec<&exynos_branch::btb::BtbHierarchy> =
-            self.members.iter().map(|s| s.frontend().btb()).collect();
-        exynos_branch::btb::BtbHierarchy::probe_batch(&btbs, pc, &mut out.btb);
-        let ubtbs: Vec<&exynos_branch::ubtb::MicroBtb> =
-            self.members.iter().map(|s| s.frontend().ubtb()).collect();
-        exynos_branch::ubtb::MicroBtb::probe_batch(&ubtbs, pc, &mut out.ubtb);
-        let l1ds: Vec<&exynos_mem::Cache> =
-            self.members.iter().map(|s| s.memsys().l1d()).collect();
-        exynos_mem::Cache::probe_batch(&l1ds, addr, &mut out.l1d);
-        let uocs: Vec<Option<&exynos_uoc::Uoc>> = self.members.iter().map(|s| s.uoc()).collect();
-        exynos_uoc::Uoc::probe_batch(&uocs, pc, &mut out.uoc);
-    }
-}
-
-/// One batched probe outcome across every member, member order. The
-/// vectors are scratch buffers reused across [`PopulationBatch::probe`]
-/// calls.
-#[derive(Debug, Default)]
-pub struct BatchProbe {
-    /// SHP direction prediction per member (probed with a neutral bias).
-    pub shp: Vec<ShpPrediction>,
-    /// BTB hierarchy hit per member.
-    pub btb: Vec<Option<BtbEntry>>,
-    /// µBTB prediction per member.
-    pub ubtb: Vec<UbtbPrediction>,
-    /// L1D tag-array hit per member.
-    pub l1d: Vec<bool>,
-    /// µOC block presence per member (false for pre-M5 members).
-    pub uoc: Vec<bool>,
-    biases: Vec<i8>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::must;
+    use exynos_core::batch::ChunkCache;
     use exynos_core::builder::SimBuilder;
     use exynos_core::config::CoreConfig;
     use exynos_trace::standard_suite;
+    use std::sync::Arc;
 
-    #[test]
-    fn lockstep_matches_scalar_across_generations() {
-        let suite = standard_suite(1);
-        let slice = &suite[0];
-        let plan = SlicePlan::new(700, 900);
-        let gens = CoreConfig::all_generations();
+    fn all_generations() -> PopulationBatch {
         let mut batch = PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(must(SimBuilder::config(cfg.clone()).build()));
+        for cfg in CoreConfig::all_generations() {
+            batch.push(must(SimBuilder::config(cfg).build()));
         }
-        let mut shared = slice.build().unwrap();
-        let batched = must(batch.run_slice_lockstep(&mut *shared, plan));
-        for (cfg, b) in gens.iter().zip(&batched) {
-            let mut sim = must(SimBuilder::config(cfg.clone()).build());
-            let mut gen = slice.build().unwrap();
-            let scalar = must(sim.run_slice(&mut *gen, plan));
-            assert_eq!(format!("{scalar:?}"), format!("{b:?}"), "{}", cfg.gen.name());
-        }
+        batch
     }
 
     #[test]
-    fn probe_covers_every_member() {
-        let gens = CoreConfig::all_generations();
-        let mut batch = PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(must(SimBuilder::config(cfg.clone()).build()));
-        }
-        let suite = standard_suite(1);
-        let mut gen = suite[0].build().unwrap();
-        must(batch.run_lockstep(&mut *gen, 2_000));
-        let mut probe = BatchProbe::default();
-        batch.probe(0x4000, 0x8000, &mut probe);
-        assert_eq!(probe.shp.len(), 6);
-        assert_eq!(probe.btb.len(), 6);
-        assert_eq!(probe.ubtb.len(), 6);
-        assert_eq!(probe.l1d.len(), 6);
-        assert_eq!(probe.uoc.len(), 6);
-    }
-
-    #[test]
-    fn cached_and_pipelined_match_uncached_lockstep() {
-        use exynos_core::batch::ChunkCache;
+    fn run_slice_matches_scalar_for_every_budget() {
         let suite = standard_suite(1);
         let slice = &suite[1];
         let plan = SlicePlan::new(700, 900);
-        let gens = CoreConfig::all_generations();
-        let build = || {
-            let mut b = PopulationBatch::new();
-            for cfg in &gens {
-                b.push(must(SimBuilder::config(cfg.clone()).build()));
-            }
-            b
-        };
-        let mut reference = build();
-        let mut shared = slice.build().unwrap();
-        let want: Vec<String> = must(reference.run_slice_lockstep(&mut *shared, plan))
-            .iter()
-            .map(|r| format!("{r:?}"))
+        let want: Vec<String> = CoreConfig::all_generations()
+            .into_iter()
+            .map(|cfg| {
+                let mut sim = must(SimBuilder::config(cfg).build());
+                let mut gen = slice.build().unwrap();
+                format!("{:?}", must(sim.run_slice(&mut *gen, plan)))
+            })
             .collect();
         for budget in [None, Some(0), Some(64 * 1024)] {
-            for pipelined in [false, true] {
-                let cache = Arc::new(ChunkCache::with_budget(budget));
-                let mut stream = CachedStream::for_slice(Arc::clone(&cache), slice);
-                let mut batch = build();
-                let got: Vec<String> = must(batch.run_slice_cached(&mut stream, plan, pipelined))
-                    .iter()
-                    .map(|r| format!("{r:?}"))
-                    .collect();
-                assert_eq!(want, got, "budget {budget:?} pipelined {pipelined}");
-            }
+            let cache = Arc::new(ChunkCache::with_budget(budget));
+            let mut stream = CachedStream::for_slice(cache, slice);
+            let got: Vec<String> = must(all_generations().run_slice(&mut stream, plan))
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            assert_eq!(want, got, "budget {budget:?}");
         }
     }
 
@@ -403,11 +160,10 @@ mod tests {
         let mut batch = PopulationBatch::new();
         assert!(batch.is_empty());
         let suite = standard_suite(1);
-        let mut gen = suite[0].build().unwrap();
-        let out = must(batch.run_slice_lockstep(&mut *gen, SlicePlan::new(100, 100)));
+        let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+        let mut stream = CachedStream::for_slice(cache, &suite[0]);
+        let out = must(batch.run_slice(&mut stream, SlicePlan::new(100, 100)));
         assert!(out.is_empty());
-        let mut probe = BatchProbe::default();
-        batch.probe(0x4000, 0x8000, &mut probe);
-        assert!(probe.shp.is_empty());
+        assert_eq!(stream.position(), 200);
     }
 }

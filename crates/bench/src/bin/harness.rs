@@ -5,12 +5,11 @@
 //! cargo run --release -p exynos-bench --bin harness -- all
 //! cargo run --release -p exynos-bench --bin harness -- fig9 --scale 4 --threads 8
 //! cargo run --release -p exynos-bench --bin harness -- fig17 --csv fig17.csv
-//! cargo run --release -p exynos-bench --bin harness -- bench --quick
 //! ```
 //!
 //! Subcommands: table1 table2 table3 table4 fig1 fig4 fig5 fig7 fig8 fig9
 //! fig10 fig14 fig15 fig16 fig17 uoc btb_ablation branchstats ablations
-//! security_policies bench metrics trace checkpoint resume serve call
+//! security_policies metrics trace checkpoint resume serve call
 //! spans asm run all
 //!
 //! Program-driven traces (see DESIGN.md, "Assembler frontend &
@@ -74,7 +73,7 @@ use exynos_core::config::CoreConfig;
 const SUBCOMMANDS: &[&str] = &[
     "all", "table1", "table2", "table3", "table4", "fig1", "fig4", "fig5", "fig7", "fig8", "fig9",
     "fig10", "fig14", "fig15", "fig16", "fig17", "uoc", "btb_ablation", "branchstats", "ablations",
-    "security_policies", "bench", "metrics", "trace", "checkpoint", "resume", "serve", "call",
+    "security_policies", "metrics", "trace", "checkpoint", "resume", "serve", "call",
     "spans", "asm", "run",
 ];
 
@@ -285,10 +284,6 @@ fn main() {
         spans_cmd(&socket, id);
         return;
     }
-    if cmd == "bench" {
-        bench(quick, threads);
-        return;
-    }
     if cmd == "checkpoint" || cmd == "resume" {
         let Some(path) = file else {
             usage_error(&format!("'{cmd}' needs the image file path"));
@@ -450,58 +445,60 @@ fn asm_cmd(target: &str) {
 }
 
 /// `harness -- run --program FILE|NAME [--gen mN] [--quick]`: execute a
-/// program workload. Without `--gen` all six generations advance in one
-/// lockstep batch over a single shared execution stream; with `--gen`
-/// one generation runs on the scalar engine (bit-identical records).
+/// program workload. All six generations (or only `--gen mN`) advance in
+/// one lockstep batch over a single shared execution stream.
 fn run_program_cmd(target: &str, gen: Option<&str>, quick: bool) {
     use exynos_bench::service_runner::parse_generation;
-    use exynos_trace::{SlicePlan, TraceSource};
+    use exynos_core::batch::{CachedStream, ChunkCache};
+    use exynos_trace::{SlicePlan, SliceSpec, SuiteKind, WorkloadSpec};
+    use std::sync::Arc;
 
     let prog = load_program(target);
     let name = prog.name().to_owned();
     println!("# {}", prog.summary());
-    let source = exynos_asm::AsmSource::new(prog);
     let (warmup, detail) = if quick { (1_000, 5_000) } else { (5_000, 30_000) };
-    let build = || match source.build(exp::PROGRAM_REGION_BASE, 0xA500) {
-        Ok(g) => g,
+    let plan = SlicePlan::new(warmup, detail);
+    let slice = SliceSpec {
+        name: format!("program/{name}"),
+        suite: SuiteKind::ProgramLike,
+        spec: WorkloadSpec::Program(Arc::new(exynos_asm::AsmSource::new(prog))),
+        seed: 0xA500,
+        region: exp::PROGRAM_REGION_BASE,
+        plan,
+    };
+    let gens = match gen {
+        Some(g) => match parse_generation(g) {
+            Ok(v) => vec![CoreConfig::for_generation(v)],
+            Err(e) => usage_error(&e.to_string()),
+        },
+        None => CoreConfig::all_generations(),
+    };
+    let mut batch = exynos_bench::batch::PopulationBatch::new();
+    for cfg in &gens {
+        batch.push(exp::must(SimBuilder::config(cfg.clone()).build()));
+    }
+    let mut stream = CachedStream::for_slice(Arc::new(ChunkCache::with_budget(Some(0))), &slice);
+    // A program that assembles but cannot execute (e.g. an empty .text)
+    // is an input error: typed diagnostic, exit status 2.
+    let results = match batch.run_slice(&mut stream, plan) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("harness: {e}");
             std::process::exit(2);
         }
     };
-    let plan = SlicePlan::new(warmup, detail);
-    let mut rows: Vec<(&'static str, exynos_core::sim::SliceResult)> = Vec::new();
-    match gen {
-        Some(g) => {
-            let generation = match parse_generation(g) {
-                Ok(v) => v,
-                Err(e) => usage_error(&e.to_string()),
-            };
-            let cfg = CoreConfig::for_generation(generation);
-            let mut sim = exp::must(SimBuilder::config(cfg.clone()).build());
-            let mut stream = build();
-            let r = exp::must(sim.run_slice(&mut *stream, plan));
-            rows.push((cfg.gen.name(), r));
-        }
-        None => {
-            let gens = CoreConfig::all_generations();
-            let mut batch = exynos_bench::batch::PopulationBatch::new();
-            for cfg in &gens {
-                batch.push(exp::must(SimBuilder::config(cfg.clone()).build()));
-            }
-            let mut stream = build();
-            let results = exp::must(batch.run_slice_lockstep(&mut *stream, plan));
-            for (cfg, r) in gens.iter().zip(results) {
-                rows.push((cfg.gen.name(), r));
-            }
-        }
-    }
     println!(
         "# program {name} ({warmup} warmup + {detail} measured instructions)"
     );
     println!("{:<6} {:>8} {:>8} {:>12}", "gen", "IPC", "MPKI", "load lat");
-    for (g, r) in &rows {
-        println!("{g:<6} {:>8.3} {:>8.3} {:>12.2}", r.ipc, r.mpki, r.avg_load_latency);
+    for (cfg, r) in gens.iter().zip(&results) {
+        println!(
+            "{:<6} {:>8.3} {:>8.3} {:>12.2}",
+            cfg.gen.name(),
+            r.ipc,
+            r.mpki,
+            r.avg_load_latency
+        );
     }
 }
 
@@ -860,10 +857,6 @@ fn branchstats() {
     println!("both not-taken  : {both:.1}%   [paper: 16%]");
 }
 
-/// `harness -- bench [--quick] [--threads N]`: time the fixed-seed
-/// reference sweep serially and in parallel, verify bit-identity, and
-/// write the perf trajectory to `BENCH_sweep.json` in the current
-/// directory (the repo root under `cargo run`).
 /// `harness -- serve [--socket PATH] [--journal PATH] [--workers N]
 /// [--queue N] [--threads N] [--postmortem-dir DIR]`: run the resilient
 /// job tier on a unix socket until a client sends `shutdown`.
@@ -1006,255 +999,6 @@ fn spans_cmd(socket: &str, id: Option<u64>) {
         None => {
             let (_, resp) = call_checked(socket, "{\"cmd\":\"quantiles\"}");
             println!("{resp}");
-        }
-    }
-}
-
-fn bench(quick: bool, threads: Option<usize>) {
-    use std::time::Instant;
-    hr("Sweep benchmark — fixed-seed reference population, serial vs parallel");
-    let host_parallelism = sweep::default_threads();
-    // The acceptance configuration is >= 4 worker threads, but a host
-    // with one effective core gains nothing from oversubscription: the
-    // comparison pass would measure scheduler overhead and report a
-    // sub-1.0x "speedup" under a "parallel" heading. With no explicit
-    // --threads on such a host, fall back to a serial comparison pass
-    // and record the chosen mode in the output.
-    let bench_threads = match threads {
-        Some(n) => n,
-        None if host_parallelism == 1 => 1,
-        None => host_parallelism.max(4),
-    };
-    let mode = if bench_threads == 1 { "serial-fallback" } else { "parallel" };
-    let scale = 1;
-    // Warmup-heavy on purpose: the warm-start pool amortizes exactly this
-    // cost, so the protocol mirrors the intended use (one long warmup,
-    // repeated short detail sweeps over it).
-    let (warmup, detail) = if quick { (40_000, 5_000) } else { (80_000, 30_000) };
-    let slices = exynos_trace::standard_suite(scale).len();
-    let jobs = slices * CoreConfig::all_generations().len();
-    let steps = (warmup + detail) * jobs as u64;
-    println!(
-        "reference sweep: {slices} slices x 6 generations = {jobs} jobs, {} steps/job{}",
-        warmup + detail,
-        if quick { " (quick)" } else { "" }
-    );
-    println!(
-        "host parallelism: {host_parallelism}; comparison pass runs {mode} ({bench_threads} threads)"
-    );
-
-    // The serial-vs-batched comparison is a ratio gate, and the two
-    // engines differ by a single-digit percentage — comparable to this
-    // class of host's run-to-run drift (frequency scaling, page-cache
-    // state). Interleave the passes and keep each engine's best wall
-    // time: noise only ever adds time, so min-of-N estimates true cost.
-    // Five reps (up from three) because a ~1% true margin needs more
-    // samples than this host's drift leaves room for at three.
-    const RATIO_REPS: usize = 5;
-    let mut serial_s = f64::INFINITY;
-    let mut batched_s = f64::INFINITY;
-    let mut serial = Vec::new();
-    let mut batched = Vec::new();
-    for _ in 0..RATIO_REPS {
-        let t = Instant::now();
-        serial = exp::run_population_with_threads(scale, warmup, detail, 1);
-        serial_s = serial_s.min(t.elapsed().as_secs_f64());
-        // Batched lockstep engine: one job per slice, all six
-        // generations advanced over a single shared generator, so the
-        // trace is produced once per group instead of once per member.
-        let t = Instant::now();
-        batched = exp::run_population_batched(scale, warmup, detail, bench_threads);
-        batched_s = batched_s.min(t.elapsed().as_secs_f64());
-    }
-    let t1 = Instant::now();
-    let parallel = exp::run_population_with_threads(scale, warmup, detail, bench_threads);
-    let parallel_s = t1.elapsed().as_secs_f64();
-
-    let records_equal = |a: &[exp::SliceRecord], b: &[exp::SliceRecord]| {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                x.name == y.name
-                    && x.gen == y.gen
-                    && x.ipc.to_bits() == y.ipc.to_bits()
-                    && x.mpki.to_bits() == y.mpki.to_bits()
-                    && x.load_latency.to_bits() == y.load_latency.to_bits()
-            })
-    };
-    let bit_identical = records_equal(&serial, &parallel) && records_equal(&serial, &batched);
-    let speedup = serial_s / parallel_s.max(1e-9);
-    let batched_speedup = serial_s / batched_s.max(1e-9);
-    let rate = |secs: f64| steps as f64 / secs.max(1e-9);
-    println!(
-        "serial   : {serial_s:>8.3} s   {:>12.0} steps/s   (best of {RATIO_REPS})",
-        rate(serial_s)
-    );
-    println!(
-        "parallel : {parallel_s:>8.3} s   {:>12.0} steps/s   ({speedup:.2}x, {bench_threads} threads)",
-        rate(parallel_s)
-    );
-    println!(
-        "batched  : {batched_s:>8.3} s   {:>12.0} steps/s   ({batched_speedup:.2}x vs serial, width 6, best of {RATIO_REPS})",
-        rate(batched_s)
-    );
-    println!("bit-identical results: {bit_identical}");
-    if !bit_identical {
-        eprintln!("harness: parallel/batched sweep diverged from the serial baseline");
-        std::process::exit(1);
-    }
-
-    // Chunk-cache comparison on the program corpus, where trace
-    // materialization is genuinely expensive (the executor interprets
-    // every instruction, unlike the arithmetic synthetic generators).
-    // Batched regenerates the stream every pass; the cached pipelined
-    // engine decodes on its first pass and serves every later one from
-    // resident chunks — the interleaved best-of-N therefore compares
-    // the regenerate-always baseline against the cache's warm steady
-    // state, which is exactly the trade the cache exists to win.
-    let cache = std::sync::Arc::new(exynos_core::batch::ChunkCache::unbounded());
-    let prog_suite: Vec<exynos_trace::SliceSpec> = exp::catalog_suite(scale, true)
-        .into_iter()
-        .filter(|s| s.name.starts_with("program/"))
-        .collect();
-    let prog_jobs = prog_suite.len() * CoreConfig::all_generations().len();
-    let prog_steps = (warmup + detail) * prog_jobs as u64;
-    let mut prog_batched_s = f64::INFINITY;
-    let mut prog_cached_s = f64::INFINITY;
-    let mut prog_batched = Vec::new();
-    let mut prog_cached = Vec::new();
-    for _ in 0..RATIO_REPS {
-        let t = Instant::now();
-        prog_batched = exp::run_suite_batched(&prog_suite, warmup, detail, bench_threads);
-        prog_batched_s = prog_batched_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        prog_cached =
-            exp::run_suite_cached(&prog_suite, warmup, detail, bench_threads, &cache, true);
-        prog_cached_s = prog_cached_s.min(t.elapsed().as_secs_f64());
-    }
-    let cached_identical = records_equal(&prog_batched, &prog_cached);
-    let prog_rate = |secs: f64| prog_steps as f64 / secs.max(1e-9);
-    println!(
-        "programs : batched {prog_batched_s:>7.3} s ({:>12.0} steps/s) vs cached {prog_cached_s:>7.3} s ({:>12.0} steps/s)   {prog_jobs} jobs, best of {RATIO_REPS}",
-        prog_rate(prog_batched_s),
-        prog_rate(prog_cached_s)
-    );
-    println!("cached results equal batched: {cached_identical}");
-    if !cached_identical {
-        eprintln!("harness: cached pipelined sweep diverged from the batched baseline");
-        std::process::exit(1);
-    }
-
-    // Warm-start path: checkpoint every job once after warmup, then fork
-    // the pool for each sweep so repeated sweeps pay the warmup once.
-    let t2 = Instant::now();
-    let pool = exp::build_warm_pool(scale, warmup, bench_threads);
-    let pool_s = t2.elapsed().as_secs_f64();
-    let t3 = Instant::now();
-    let (warm_serial, wt_serial) = exp::run_population_warm_timed(&pool, detail, 1);
-    let warm_serial_s = t3.elapsed().as_secs_f64();
-    let t4 = Instant::now();
-    let (warm_parallel, wt_parallel) = exp::run_population_warm_timed(&pool, detail, bench_threads);
-    let warm_parallel_s = t4.elapsed().as_secs_f64();
-    // The resident warm pass forks the pool's in-memory simulators (no
-    // snapshot decode), skips the warmup as a cache-cursor move, and
-    // pulls the detail window through the chunk cache with the
-    // double-buffered producer pipeline — the same sweep as the legacy
-    // warm pass above, same thread count. The first rep materializes
-    // the detail chunks (cold cache); later reps run entirely from
-    // resident chunks, which is the cross-job steady state the cache
-    // exists for, so min-of-N measures it and the wall ratio against
-    // the legacy pass is the speedup the cache + pipeline deliver.
-    let mut warm_resident_s = f64::INFINITY;
-    let mut warm_resident = Vec::new();
-    let mut wt_resident = exp::WarmTiming::default();
-    for _ in 0..RATIO_REPS {
-        let t5 = Instant::now();
-        let (r, wt) = exp::run_population_warm_resident(&pool, detail, bench_threads, &cache, true);
-        let w = t5.elapsed().as_secs_f64();
-        if w < warm_resident_s {
-            warm_resident_s = w;
-            warm_resident = r;
-            wt_resident = wt;
-        }
-    }
-    let pipelined_speedup = warm_parallel_s / warm_resident_s.max(1e-9);
-
-    let warm_equals_cold = records_equal(&serial, &warm_serial)
-        && records_equal(&serial, &warm_parallel)
-        && records_equal(&serial, &warm_resident);
-    // Warm throughput over the steps actually executed: a warm sweep
-    // steps only the detail window, and its wall clock also pays image
-    // decode plus the generator fast-forward. Dividing detail steps by
-    // the whole wall mixes those denominators (and once under-reported
-    // warm throughput ~4x), so the honest rate is stepped instructions
-    // over stepping time alone; prep is reported separately.
-    let warm_rate =
-        |t: &exp::WarmTiming| t.stepped_insts as f64 / t.stepping_s.max(1e-9);
-    let warm_speedup = parallel_s / warm_parallel_s.max(1e-9);
-    println!(
-        "warm pool: {pool_s:>7.3} s to checkpoint {} jobs ({} warmup steps each, {:.1} MiB)",
-        pool.jobs(),
-        warmup,
-        pool.bytes() as f64 / (1024.0 * 1024.0)
-    );
-    println!(
-        "warm serial   : {warm_serial_s:>8.3} s wall (prep {:.3} s + stepping {:.3} s)   {:>12.0} steps/s post-resume",
-        wt_serial.prep_s,
-        wt_serial.stepping_s,
-        warm_rate(&wt_serial)
-    );
-    println!(
-        "warm parallel : {warm_parallel_s:>8.3} s wall (prep {:.3} s + stepping {:.3} s)   {:>12.0} steps/s post-resume   ({warm_speedup:.2}x vs cold parallel)",
-        wt_parallel.prep_s,
-        wt_parallel.stepping_s,
-        warm_rate(&wt_parallel)
-    );
-    println!(
-        "warm resident : {warm_resident_s:>8.3} s wall (prep {:.3} s + stepping {:.3} s)   {:>12.0} steps/s post-resume   ({pipelined_speedup:.2}x vs legacy warm, cached+pipelined)",
-        wt_resident.prep_s,
-        wt_resident.stepping_s,
-        warm_rate(&wt_resident)
-    );
-    println!("warm results equal cold: {warm_equals_cold}");
-    if !warm_equals_cold {
-        eprintln!("harness: warm-start sweep diverged from the cold baseline");
-        std::process::exit(1);
-    }
-
-    let cstats = cache.stats();
-    println!(
-        "chunk cache: {} hits, {} misses, {} evictions, {:.1} MiB resident",
-        cstats.hits,
-        cstats.misses,
-        cstats.evictions,
-        cstats.bytes as f64 / (1024.0 * 1024.0)
-    );
-    let json = format!(
-        "{{\n  \"schema\": 2,\n  \"quick\": {quick},\n  \"scale\": {scale},\n  \"slices\": {slices},\n  \"generations\": 6,\n  \"jobs\": {jobs},\n  \"steps_per_job\": {},\n  \"total_steps\": {steps},\n  \"threads\": {bench_threads},\n  \"mode\": \"{mode}\",\n  \"available_parallelism\": {host_parallelism},\n  \"serial\": {{ \"wall_s\": {serial_s:.6}, \"steps_per_sec\": {:.0} }},\n  \"parallel\": {{ \"wall_s\": {parallel_s:.6}, \"steps_per_sec\": {:.0} }},\n  \"speedup\": {speedup:.4},\n  \"batched\": {{ \"wall_s\": {batched_s:.6}, \"steps_per_sec\": {:.0}, \"width\": 6 }},\n  \"batched_speedup\": {batched_speedup:.4},\n  \"cached\": {{ \"population\": \"programs\", \"jobs\": {prog_jobs}, \"wall_s\": {prog_cached_s:.6}, \"baseline_wall_s\": {prog_batched_s:.6}, \"steps_per_sec\": {:.0}, \"pipelined\": true }},\n  \"pipelined_speedup\": {pipelined_speedup:.4},\n  \"chunk_cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"bytes\": {} }},\n  \"warm\": {{\n    \"pool_build_s\": {pool_s:.6},\n    \"serial_wall_s\": {warm_serial_s:.6},\n    \"parallel_wall_s\": {warm_parallel_s:.6},\n    \"stepped_insts\": {},\n    \"serial_prep_s\": {:.6},\n    \"serial_stepping_s\": {:.6},\n    \"parallel_prep_s\": {:.6},\n    \"parallel_stepping_s\": {:.6},\n    \"serial_steps_per_sec\": {:.0},\n    \"parallel_steps_per_sec\": {:.0},\n    \"resident_wall_s\": {warm_resident_s:.6},\n    \"resident_prep_s\": {:.6},\n    \"resident_stepping_s\": {:.6},\n    \"resident_steps_per_sec\": {:.0}\n  }},\n  \"warm_speedup\": {warm_speedup:.4},\n  \"warm_equals_cold\": {warm_equals_cold},\n  \"bit_identical\": {bit_identical}\n}}\n",
-        warmup + detail,
-        rate(serial_s),
-        rate(parallel_s),
-        rate(batched_s),
-        prog_rate(prog_cached_s),
-        cstats.hits,
-        cstats.misses,
-        cstats.evictions,
-        cstats.bytes,
-        wt_parallel.stepped_insts,
-        wt_serial.prep_s,
-        wt_serial.stepping_s,
-        wt_parallel.prep_s,
-        wt_parallel.stepping_s,
-        warm_rate(&wt_serial),
-        warm_rate(&wt_parallel),
-        wt_resident.prep_s,
-        wt_resident.stepping_s,
-        warm_rate(&wt_resident),
-    );
-    match std::fs::write("BENCH_sweep.json", &json) {
-        Ok(()) => println!("wrote BENCH_sweep.json"),
-        Err(e) => {
-            eprintln!("harness: failed to write BENCH_sweep.json: {e}");
-            std::process::exit(1);
         }
     }
 }

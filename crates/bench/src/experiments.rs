@@ -11,13 +11,16 @@ use exynos_branch::storage_budget;
 use exynos_branch::ubtb::{MicroBtb, UbtbConfig};
 use exynos_core::batch::{CachedStream, ChunkCache};
 use exynos_core::builder::SimBuilder;
+use exynos_core::cancel::CancelToken;
 use exynos_core::config::CoreConfig;
-use exynos_core::sim::Simulator;
-use std::sync::Arc;
+use exynos_core::sim::{Simulator, SliceResult};
+use exynos_core::SimError;
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
+use exynos_trace::gen::pointer_chase::PointerChaseParams;
 use exynos_trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};
-use exynos_trace::{standard_suite, SlicePlan, SliceSpec, TraceGen};
+use exynos_trace::{standard_suite, SlicePlan, SliceSpec, SuiteKind, TraceGen, WorkloadSpec};
+use std::sync::Arc;
 
 /// Unwrap a simulation result: benchmark traces are clean and run with no
 /// fault injector, so a `SimError` here is a harness bug worth aborting on.
@@ -78,78 +81,14 @@ pub struct SliceRecord {
     pub load_latency: f64,
 }
 
-/// Run the full suite (at `scale`) across all six generations with the
-/// given windows, on [`crate::sweep::default_threads`] worker threads.
-/// This is the engine behind Figs. 9, 16 and 17; it routes through the
-/// batched lockstep engine ([`run_population_batched`]), which is
-/// bit-identical to the scalar reference.
-pub fn run_population(scale: usize, warmup: u64, detail: u64) -> Vec<SliceRecord> {
-    run_population_batched(scale, warmup, detail, crate::sweep::default_threads())
-}
-
-/// The scalar reference engine, with an explicit worker-thread count.
-///
-/// Every (generation, slice) pair is an independent job — its own
-/// `Simulator` built from an owned config and a freshly seeded generator
-/// — so the jobs run on the work-stealing executor and are re-assembled
-/// in catalog order (generation-major, slice-minor), exactly the order
-/// the old serial nested loop produced. Output is bit-identical for any
-/// `threads`, and the batched engine is gated against this path.
-pub fn run_population_with_threads(
-    scale: usize,
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    run_suite_with_threads(&standard_suite(scale), warmup, detail, threads)
-}
-
-/// [`run_population_with_threads`] over an explicit slice catalog (e.g.
-/// [`catalog_suite`] with programs mixed in).
-pub fn run_suite_with_threads(
-    suite: &[SliceSpec],
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    crate::sweep::run_indexed(gens.len() * per_gen, threads, |i| {
-        let cfg = &gens[i / per_gen];
-        let slice = &suite[i % per_gen];
-        let mut sim = must(SimBuilder::config(cfg.clone()).build());
-        let mut gen = must_gen(slice);
-        let r = must(sim.run_slice(&mut *gen, SlicePlan::new(warmup, detail)));
-        SliceRecord {
-            name: slice.name.clone(),
-            gen: cfg.gen.name(),
-            ipc: r.ipc,
-            mpki: r.mpki,
-            load_latency: r.avg_load_latency,
-        }
-    })
-}
-
-/// [`run_population`] through the batched lockstep engine: one job per
-/// *slice*, each advancing all six generations over a single shared
-/// generator (see [`crate::batch::PopulationBatch`]). Whenever the
-/// catalog groups >= 2 members on the same slice — always, with six
-/// generations — the trace is generated once per group instead of once
-/// per member. Records are re-assembled into catalog order
-/// (generation-major, slice-minor), bit-identical to
-/// [`run_population_with_threads`] at the same windows.
-pub fn run_population_batched(
-    scale: usize,
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    run_suite_batched(&standard_suite(scale), warmup, detail, threads)
-}
-
-/// [`run_population_batched`] over an explicit slice catalog (e.g.
-/// [`catalog_suite`] with programs mixed in). Bit-identical to
-/// [`run_suite_with_threads`] on the same catalog and windows.
+/// Run `suite` across all six generations with the given windows on
+/// `threads` workers: one lockstep job per slice, all six generations
+/// stepping over a single shared stream (see
+/// [`crate::batch::PopulationBatch`]), so the trace is generated once per
+/// slice instead of once per member. Records come back in catalog order
+/// (generation-major, slice-minor), bit-identical to each (generation,
+/// slice) pair running alone through `Simulator::run_slice`. This is the
+/// engine behind Figs. 9, 16 and 17.
 pub fn run_suite_batched(
     suite: &[SliceSpec],
     warmup: u64,
@@ -157,99 +96,75 @@ pub fn run_suite_batched(
     threads: usize,
 ) -> Vec<SliceRecord> {
     let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    if gens.len() < 2 {
-        return run_suite_with_threads(suite, warmup, detail, threads);
-    }
-    let per_slice: Vec<Vec<SliceRecord>> = crate::sweep::run_indexed(per_gen, threads, |s| {
-        let slice = &suite[s];
-        let mut batch = crate::batch::PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(must(SimBuilder::config(cfg.clone()).build()));
-        }
-        let mut gen = must_gen(slice);
-        let results = must(batch.run_slice_lockstep(&mut *gen, SlicePlan::new(warmup, detail)));
-        gens.iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord {
-                name: slice.name.clone(),
-                gen: cfg.gen.name(),
-                ipc: r.ipc,
-                mpki: r.mpki,
-                load_latency: r.avg_load_latency,
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(gens.len() * per_gen);
-    for g in 0..gens.len() {
-        for s in 0..per_gen {
-            out.push(per_slice[s][g].clone());
-        }
-    }
-    out
+    must(sweep_groups(suite, threads, |s| {
+        let members = gens
+            .iter()
+            .map(|cfg| SimBuilder::config(cfg.clone()).build())
+            .collect::<Result<Vec<_>, _>>()?;
+        run_group(members, &suite[s], 0, SlicePlan::new(warmup, detail))
+    }))
 }
 
-/// [`run_suite_batched`] through the shared [`ChunkCache`]: one lockstep
-/// job per slice, each pulling its decoded record blocks through `cache`
-/// (keyed by [`SliceSpec::stream_fingerprint`]). With `pipelined`, each
-/// job double-buffers: a producer thread materializes chunk k+1 while
-/// the batch steps chunk k. Bit-identical to [`run_suite_batched`] and
-/// [`run_suite_with_threads`] for any cache budget (including zero) in
-/// either mode; repeated sweeps over the same catalog are served from
-/// resident chunks.
-pub fn run_suite_cached(
+/// Run one lockstep group: `members`, which have each already consumed
+/// the first `skip` records of `slice`'s stream, step through `plan` over
+/// a single pass of that stream. The stream reads through a zero-budget
+/// [`ChunkCache`]: a sweep reads each chunk once, so keeping chunks would
+/// only cost memory.
+fn run_group(
+    members: Vec<Simulator>,
+    slice: &SliceSpec,
+    skip: u64,
+    plan: SlicePlan,
+) -> Result<Vec<SliceResult>, SimError> {
+    let mut batch = crate::batch::PopulationBatch::new();
+    for sim in members {
+        batch.push(sim);
+    }
+    let mut stream = CachedStream::for_slice(Arc::new(ChunkCache::with_budget(Some(0))), slice);
+    stream.skip(skip);
+    batch.run_slice(&mut stream, plan)
+}
+
+/// Run `group(s)` for every slice index of `suite` on `threads` workers
+/// (each returning one result per generation, generation order) and
+/// re-assemble the records generation-major, slice-minor.
+fn sweep_groups(
     suite: &[SliceSpec],
-    warmup: u64,
-    detail: u64,
     threads: usize,
-    cache: &Arc<ChunkCache>,
-    pipelined: bool,
-) -> Vec<SliceRecord> {
+    group: impl Fn(usize) -> Result<Vec<SliceResult>, SimError> + Sync,
+) -> Result<Vec<SliceRecord>, SimError> {
     let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    let per_slice: Vec<Vec<SliceRecord>> = crate::sweep::run_indexed(per_gen, threads, |s| {
-        let slice = &suite[s];
-        let mut batch = crate::batch::PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(must(SimBuilder::config(cfg.clone()).build()));
-        }
-        let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
-        let results =
-            must(batch.run_slice_cached(&mut stream, SlicePlan::new(warmup, detail), pipelined));
-        gens.iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord {
+    let per_slice = crate::sweep::run_indexed_result(suite.len(), threads, group)?;
+    let mut out = Vec::with_capacity(gens.len() * suite.len());
+    for (g, cfg) in gens.iter().enumerate() {
+        for (slice, results) in suite.iter().zip(&per_slice) {
+            let r = &results[g];
+            out.push(SliceRecord {
                 name: slice.name.clone(),
                 gen: cfg.gen.name(),
                 ipc: r.ipc,
                 mpki: r.mpki,
                 load_latency: r.avg_load_latency,
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(gens.len() * per_gen);
-    for g in 0..gens.len() {
-        for s in 0..per_gen {
-            out.push(per_slice[s][g].clone());
+            });
         }
     }
-    out
+    Ok(out)
 }
 
-/// A pool of warmed checkpoint images, one per (generation, slice) job
-/// of the population sweep, in job order (generation-major,
-/// slice-minor). Building the pool pays each job's warmup exactly once;
-/// every subsequent measured sweep forks from the in-memory image and
-/// pays only the detail window — bit-identical to the cold run by the
+/// A pool of warmed simulators, one per (generation, slice) job of the
+/// population sweep, in job order (generation-major, slice-minor).
+/// Building the pool pays each job's warmup exactly once; every
+/// subsequent measured sweep forks the warmed state and pays only the
+/// detail window — bit-identical to the cold run by the
 /// checkpoint/resume invariant.
 #[derive(Debug)]
 pub struct WarmPool {
-    /// Checkpoint image per job, job order.
+    /// Checkpoint image per job, job order: the serialization-facing
+    /// form of each warmed state (service checkpoints, on-disk pools).
     images: Vec<Vec<u8>>,
     /// The warmed simulators themselves, job order — the decoded states
     /// the images were snapshotted from. Forking by [`WarmPool::resident`]
-    /// clone skips the snapshot codec entirely; the images remain the
-    /// serialization-facing API (service checkpoints, on-disk pools).
+    /// clone skips the snapshot codec entirely.
     residents: Vec<Simulator>,
     /// Catalog scale the pool was built at.
     scale: usize,
@@ -298,36 +213,25 @@ impl WarmPool {
 }
 
 /// Warm one simulator per (generation, slice) job for `warmup`
-/// instructions and snapshot each into an in-memory [`WarmPool`].
+/// instructions and keep each, with its checkpoint image, in a
+/// [`WarmPool`]. The benchmark catalogs are clean, so a failure here is
+/// a harness bug worth aborting on; fallible callers use
+/// [`try_build_warm_pool`].
 pub fn build_warm_pool(scale: usize, warmup: u64, threads: usize) -> WarmPool {
-    let suite = standard_suite(scale);
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    let warmed = crate::sweep::run_indexed(gens.len() * per_gen, threads, |i| {
-        let cfg = &gens[i / per_gen];
-        let slice = &suite[i % per_gen];
-        let mut sim = must(SimBuilder::config(cfg.clone()).build());
-        let mut gen = must_gen(slice);
-        must(sim.run_warmup(&mut *gen, warmup));
-        let image = sim.checkpoint();
-        (image, sim)
-    });
-    let (images, residents) = warmed.into_iter().unzip();
-    WarmPool { images, residents, scale, warmup }
+    must(try_build_warm_pool(scale, warmup, threads, &CancelToken::new()))
 }
 
 /// Fallible, cancellable [`build_warm_pool`]: every warming simulator
 /// carries `cancel`, so a deadline or an explicit cancel surfaces as a
-/// typed [`SimError`](exynos_core::SimError) instead of a panic. The
-/// service tier builds its shared pools through this path; the images
-/// are bit-identical to [`build_warm_pool`]'s (the cancel token is
-/// runtime-only state and never reaches a checkpoint).
+/// typed [`SimError`] instead of a panic. The cancel token is
+/// runtime-only state: it never reaches a checkpoint image and is
+/// detached from the residents.
 pub fn try_build_warm_pool(
     scale: usize,
     warmup: u64,
     threads: usize,
-    cancel: &exynos_core::cancel::CancelToken,
-) -> Result<WarmPool, exynos_core::SimError> {
+    cancel: &CancelToken,
+) -> Result<WarmPool, SimError> {
     let suite = standard_suite(scale);
     let gens = CoreConfig::all_generations();
     let per_gen = suite.len();
@@ -347,201 +251,20 @@ pub fn try_build_warm_pool(
     Ok(WarmPool { images, residents, scale, warmup })
 }
 
-/// [`run_population`], but forking every job from its warmed image in
-/// `pool` instead of re-running the warmup. Routes through the batched
-/// lockstep engine ([`run_population_warm_batched`]); results are
-/// bit-identical to the cold path at the same (scale, warmup, detail).
+/// A population sweep forked from `pool`: every job starts from its
+/// warmed resident (cloned, no snapshot decode) and measures `detail`
+/// instructions. One lockstep job per slice; the shared stream skips the
+/// pool's warmup as a cursor move, since every member consumed exactly
+/// that many records. Bit-identical to the cold sweep at the same
+/// (scale, warmup, detail).
 pub fn run_population_warm(pool: &WarmPool, detail: u64, threads: usize) -> Vec<SliceRecord> {
-    run_population_warm_batched(pool, detail, threads)
-}
-
-/// The scalar warm reference: one job per (generation, slice), each
-/// resuming its own image and fast-forwarding its own generator.
-/// Bit-identical to the cold scalar path; the batched warm engine is
-/// gated against this one.
-pub fn run_population_warm_scalar(pool: &WarmPool, detail: u64, threads: usize) -> Vec<SliceRecord> {
     let suite = standard_suite(pool.scale);
-    let gens = CoreConfig::all_generations();
     let per_gen = suite.len();
-    crate::sweep::run_indexed(gens.len() * per_gen, threads, |i| {
-        let cfg = &gens[i / per_gen];
-        let slice = &suite[i % per_gen];
-        let mut sim = match Simulator::resume_with_config(cfg.clone(), &pool.images[i]) {
-            Ok(sim) => sim,
-            Err(e) => panic!("warm pool image {i} failed to resume: {e}"),
-        };
-        let mut gen = must_gen(slice);
-        // Fast-forward the freshly seeded generator to where the warmed
-        // simulator stopped consuming it.
-        for _ in 0..sim.stats().instructions {
-            let _ = gen.next_inst();
-        }
-        let r = must(sim.run_slice(&mut *gen, SlicePlan::new(0, detail)));
-        SliceRecord {
-            name: slice.name.clone(),
-            gen: cfg.gen.name(),
-            ipc: r.ipc,
-            mpki: r.mpki,
-            load_latency: r.avg_load_latency,
-        }
-    })
-}
-
-/// Wall-clock decomposition of a warm sweep, split at the measurement
-/// boundary the reported throughput must respect: `prep_s` covers image
-/// decode plus the shared generator fast-forward (work the warm pool
-/// exists to make cheap, but which executes no simulator steps), and
-/// `stepping_s` covers only post-resume detail stepping —
-/// `stepped_insts / stepping_s` is the honest warm steps/s. With
-/// `threads > 1` the two times are summed across workers (aggregate
-/// worker-seconds, not wall).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmTiming {
-    /// Seconds spent resuming images and fast-forwarding generators.
-    pub prep_s: f64,
-    /// Seconds spent executing post-resume detail steps.
-    pub stepping_s: f64,
-    /// Instructions actually executed after resume.
-    pub stepped_insts: u64,
-}
-
-/// [`run_population_warm`] exposing where the time went; the records are
-/// identical, the [`WarmTiming`] feeds the `bench` subcommand's warm
-/// throughput accounting.
-pub fn run_population_warm_timed(
-    pool: &WarmPool,
-    detail: u64,
-    threads: usize,
-) -> (Vec<SliceRecord>, WarmTiming) {
-    assemble_warm(run_warm_slice_groups(pool, detail, threads, None))
-}
-
-/// The resident-fork warm sweep: members clone the pool's decoded
-/// simulator states (no snapshot codec) and the generator fast-forward
-/// becomes a [`CachedStream::skip`] — free wherever the stream's chunks
-/// are already resident in `cache`. `prep_s` shrinks to the clone cost;
-/// records stay bit-identical to [`run_population_warm_timed`] and the
-/// scalar warm/cold references.
-pub fn run_population_warm_resident(
-    pool: &WarmPool,
-    detail: u64,
-    threads: usize,
-    cache: &Arc<ChunkCache>,
-    pipelined: bool,
-) -> (Vec<SliceRecord>, WarmTiming) {
-    assemble_warm(run_warm_slice_groups(pool, detail, threads, Some((cache, pipelined))))
-}
-
-fn assemble_warm(
-    per_slice: Vec<(Vec<SliceRecord>, WarmTiming)>,
-) -> (Vec<SliceRecord>, WarmTiming) {
-    let gens = CoreConfig::all_generations();
-    let per_gen = per_slice.len();
-    let mut timing = WarmTiming::default();
-    for (_, t) in &per_slice {
-        timing.prep_s += t.prep_s;
-        timing.stepping_s += t.stepping_s;
-        timing.stepped_insts += t.stepped_insts;
-    }
-    let mut out = Vec::with_capacity(gens.len() * per_gen);
-    for g in 0..gens.len() {
-        for (records, _) in &per_slice {
-            out.push(records[g].clone());
-        }
-    }
-    (out, timing)
-}
-
-/// [`run_population_warm_scalar`] through the batched lockstep engine:
-/// one job per slice, forking all six generations from the pool's
-/// resident states and skipping the shared stream's warmup through a
-/// fresh chunk cache (every member consumed exactly the pool warmup, so
-/// one stream cursor serves the whole group). Bit-identical to the
-/// scalar warm path.
-pub fn run_population_warm_batched(
-    pool: &WarmPool,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    let cache = Arc::new(ChunkCache::unbounded());
-    run_population_warm_resident(pool, detail, threads, &cache, false).0
-}
-
-/// One warm lockstep job per slice, returning each slice group's records
-/// (generation order) plus its timing split. `cached` selects the fork
-/// strategy: `None` resumes every member through the snapshot codec and
-/// fast-forwards a private generator (the pre-resident baseline);
-/// `Some((cache, pipelined))` clones the pool's resident states and
-/// skips the warmup on a [`CachedStream`].
-fn run_warm_slice_groups(
-    pool: &WarmPool,
-    detail: u64,
-    threads: usize,
-    cached: Option<(&Arc<ChunkCache>, bool)>,
-) -> Vec<(Vec<SliceRecord>, WarmTiming)> {
-    let suite = standard_suite(pool.scale);
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    crate::sweep::run_indexed(per_gen, threads, |s| {
-        let slice = &suite[s];
-        let t0 = std::time::Instant::now();
-        let mut batch = crate::batch::PopulationBatch::new();
-        for (g, cfg) in gens.iter().enumerate() {
-            let i = g * per_gen + s;
-            let sim = match cached {
-                Some(_) => pool.resident(i),
-                None => match Simulator::resume_with_config(cfg.clone(), pool.image(i)) {
-                    Ok(sim) => sim,
-                    Err(e) => panic!("warm pool image {i} failed to resume: {e}"),
-                },
-            };
-            assert_eq!(
-                sim.stats().instructions,
-                pool.warmup,
-                "warm fork {i} consumed a different warmup than the pool records"
-            );
-            batch.push(sim);
-        }
-        let (records, timing) = match cached {
-            Some((cache, pipelined)) => {
-                // Cursor-skip the warmup: no records are generated unless
-                // a later miss needs the generator fast-forwarded.
-                let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
-                stream.skip(pool.warmup);
-                let prep_s = t0.elapsed().as_secs_f64();
-                let t1 = std::time::Instant::now();
-                let results =
-                    must(batch.run_slice_cached(&mut stream, SlicePlan::new(0, detail), pipelined));
-                (results, (prep_s, t1.elapsed().as_secs_f64()))
-            }
-            None => {
-                // One shared fast-forward for the whole group: every
-                // member consumed exactly `pool.warmup` generator records.
-                let mut gen = must_gen(slice);
-                for _ in 0..pool.warmup {
-                    let _ = gen.next_inst();
-                }
-                let prep_s = t0.elapsed().as_secs_f64();
-                let t1 = std::time::Instant::now();
-                let results = must(batch.run_slice_lockstep(&mut *gen, SlicePlan::new(0, detail)));
-                (results, (prep_s, t1.elapsed().as_secs_f64()))
-            }
-        };
-        let (results, (prep_s, stepping_s)) = (records, timing);
-        let records: Vec<SliceRecord> = gens
-            .iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord {
-                name: slice.name.clone(),
-                gen: cfg.gen.name(),
-                ipc: r.ipc,
-                mpki: r.mpki,
-                load_latency: r.avg_load_latency,
-            })
-            .collect();
-        let stepped_insts = results.iter().map(|r| r.instructions).sum();
-        (records, WarmTiming { prep_s, stepping_s, stepped_insts })
-    })
+    let gens = CoreConfig::all_generations().len();
+    must(sweep_groups(&suite, threads, |s| {
+        let members = (0..gens).map(|g| pool.resident(g * per_gen + s)).collect();
+        run_group(members, &suite[s], pool.warmup, SlicePlan::new(0, detail))
+    }))
 }
 
 /// Mean of a per-generation metric over records.
@@ -1008,21 +731,31 @@ pub struct Ablation {
     pub without_feature: f64,
 }
 
-/// Run a with/without config pair as a two-member lockstep batch over
-/// one shared generator — the ablation battery's grouping: both members
-/// sit on the same (generation family, trace), so the trace is generated
-/// once per pair. Returns (with, without), bit-identical to running each
-/// member over its own freshly seeded copy of the generator.
+/// A one-off catalog slice for an ablation workload.
+fn ablation_slice(
+    suite: SuiteKind,
+    spec: WorkloadSpec,
+    region: u64,
+    seed: u64,
+    plan: SlicePlan,
+) -> SliceSpec {
+    SliceSpec { name: format!("ablation/{}", spec.family()), suite, spec, seed, region, plan }
+}
+
+/// Run a with/without config pair as a two-member lockstep group over
+/// `slice` — the ablation battery's grouping: both members sit on the
+/// same trace, so it is generated once per pair. Returns (with,
+/// without), bit-identical to running each member alone.
 fn ablation_pair(
     with_cfg: CoreConfig,
     without_cfg: CoreConfig,
-    gen: &mut dyn exynos_trace::TraceGen,
-    plan: SlicePlan,
-) -> (exynos_core::sim::SliceResult, exynos_core::sim::SliceResult) {
-    let mut batch = crate::batch::PopulationBatch::new();
-    batch.push(must(SimBuilder::config(with_cfg).build()));
-    batch.push(must(SimBuilder::config(without_cfg).build()));
-    let r = must(batch.run_slice_lockstep(gen, plan));
+    slice: &SliceSpec,
+) -> (SliceResult, SliceResult) {
+    let members = vec![
+        must(SimBuilder::config(with_cfg).build()),
+        must(SimBuilder::config(without_cfg).build()),
+    ];
+    let r = must(run_group(members, slice, 0, slice.plan));
     (r[0].clone(), r[1].clone())
 }
 
@@ -1162,16 +895,18 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         with_cfg.dram.early_activate = false;
         let mut without_cfg = with_cfg.clone();
         without_cfg.spec_read = false;
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
+        let slice = ablation_slice(
+            SuiteKind::GameLike,
+            WorkloadSpec::PointerChase(PointerChaseParams {
                 working_set: 64 << 20,
                 chains: 4,
                 ..Default::default()
-            },
+            }),
             98,
             4,
+            SlicePlan::new(5_000, 40_000),
         );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &slice);
         Ablation {
             name: "speculative DRAM read",
             metric: "avg load lat",
@@ -1186,16 +921,18 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         with_cfg.dram.fast_path = true;
         let mut without_cfg = with_cfg.clone();
         without_cfg.dram.fast_path = false;
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
+        let slice = ablation_slice(
+            SuiteKind::GameLike,
+            WorkloadSpec::PointerChase(PointerChaseParams {
                 working_set: 64 << 20,
                 chains: 2,
                 ..Default::default()
-            },
+            }),
             99,
             4,
+            SlicePlan::new(5_000, 40_000),
         );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &slice);
         Ablation {
             name: "DRAM data fast path",
             metric: "avg load lat",
@@ -1210,16 +947,18 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         with_cfg.dram.early_activate = true;
         let mut without_cfg = with_cfg.clone();
         without_cfg.dram.early_activate = false;
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
+        let slice = ablation_slice(
+            SuiteKind::GameLike,
+            WorkloadSpec::PointerChase(PointerChaseParams {
                 working_set: 64 << 20,
                 chains: 2,
                 ..Default::default()
-            },
+            }),
             100,
             4,
+            SlicePlan::new(5_000, 40_000),
         );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &slice);
         Ablation {
             name: "early page activate",
             metric: "avg load lat",
@@ -1236,17 +975,19 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         without_cfg.buddy = false;
         // Spatial payloads touch the second sector of each chased line's
         // 128 B granule.
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
+        let slice = ablation_slice(
+            SuiteKind::GameLike,
+            WorkloadSpec::PointerChase(PointerChaseParams {
                 working_set: 32 << 20,
                 chains: 4,
                 spatial_payload: true,
                 ..Default::default()
-            },
+            }),
             101,
             4,
+            SlicePlan::new(5_000, 40_000),
         );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &slice);
         Ablation {
             name: "Buddy prefetcher",
             metric: "IPC (higher=better)",
@@ -1265,20 +1006,21 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         without_cfg.standalone = None;
         // ~700 KB of code walked sequentially: every line is an L1I
         // miss; only an L2-level prefetcher can stay ahead of fetch.
-        let mut gen = MarkovBranches::new(
-            &MarkovParams {
+        let slice = ablation_slice(
+            SuiteKind::SpecIntLike,
+            WorkloadSpec::Markov(MarkovParams {
                 sites: 20_000,
                 history_depth: 4,
                 noise: 0.0,
                 work_between: 4,
                 load_frac: 0.0,
                 ..Default::default()
-            },
+            }),
             102,
             4,
+            SlicePlan::new(10_000, 60_000),
         );
-        let (w, wo) =
-            ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(10_000, 60_000));
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &slice);
         Ablation {
             name: "standalone L2/L3 prefetcher",
             metric: "IPC (higher=better)",

@@ -151,7 +151,7 @@ impl BenchRunner {
                 let mut stream = CachedStream::for_slice(Arc::clone(&self.chunks), slice);
                 stream.skip(pool.warmup());
                 let sspan = slice_span(ctx, i, &slice.name, cfg.gen.name());
-                let r = batch.run_slice_cached(&mut stream, SlicePlan::new(0, detail), false);
+                let r = batch.run_slice(&mut stream, SlicePlan::new(0, detail));
                 end_slice_span(ctx, sspan, &batch.members()[0]);
                 let r = r?;
                 let res = r.first().ok_or_else(|| SimError::Config {
@@ -198,7 +198,7 @@ impl BenchRunner {
         // program skips re-assembly and re-decode entirely.
         let mut stream = CachedStream::for_slice(Arc::clone(&self.chunks), slice);
         let sspan = slice_span(ctx, 0, &slice.name, "all");
-        let r = batch.run_slice_cached(&mut stream, SlicePlan::new(warmup, detail), false);
+        let r = batch.run_slice(&mut stream, SlicePlan::new(warmup, detail));
         if Telemetry::ACTIVE {
             ctx.spans.end(sspan);
         }
@@ -491,8 +491,8 @@ mod tests {
         // Same spec again: served from the cached pool, byte-identical.
         let again = runner.run(&quick_sweep(), &ctx).unwrap();
         assert_eq!(payload, again);
-        // Reference values from the cold experiment engine.
-        let reference = exp::run_population_with_threads(1, 200, 300, 1);
+        // Reference values from the cold population sweep.
+        let reference = exp::run_suite_batched(&standard_suite(1), 200, 300, 1);
         assert_eq!(payload, sweep_payload(1, 200, 300, &reference));
     }
 

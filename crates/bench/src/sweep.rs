@@ -1,9 +1,9 @@
 //! Work-stealing parallel sweep executor.
 //!
-//! Every population sweep in this crate — `run_population`, the ablation
-//! battery, the attack-rate sweep — is a cross product of fully
-//! independent jobs (one `Simulator` per (generation, slice) pair). This
-//! module runs such a job set on scoped OS threads with a shared atomic
+//! Every population sweep in this crate — `run_suite_batched` and
+//! `run_population_warm` (one lockstep job per slice group), the ablation
+//! battery, the attack-rate sweep — is a set of fully independent jobs.
+//! This module runs such a job set on scoped OS threads with a shared atomic
 //! job index: each worker repeatedly claims the next unclaimed index
 //! (`fetch_add`), so fast jobs never wait behind slow ones and no
 //! per-job thread spawn cost is paid.
@@ -12,8 +12,8 @@
 //! in index order after the join, so the output vector is **bit-identical**
 //! to a serial `(0..jobs).map(job)` loop regardless of thread count or
 //! scheduling. Jobs must therefore be independent (no shared mutable
-//! state) — which they are by construction: each builds its own
-//! simulator from an owned config and a seeded generator.
+//! state) — which they are by construction: each builds (or forks) its
+//! own simulators and draws from its own seeded stream.
 //!
 //! No external dependencies: `std::thread::scope` + `AtomicUsize` only.
 

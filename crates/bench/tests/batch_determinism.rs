@@ -1,20 +1,25 @@
 //! The batched lockstep engine's hard correctness gate: for every batch
-//! width, member mix, fault plan and warm-fork shape, stepping N members
-//! over one shared decoded stream must produce **byte-equal stats** to
-//! each member running alone over its own freshly seeded generator.
+//! width, member mix, fault plan, cache budget and warm-fork shape,
+//! stepping N members over one shared decoded stream must produce
+//! **byte-equal stats** to each member running alone over its own
+//! freshly seeded generator.
 //!
 //! Stats are compared through their `Debug` rendering of the full
 //! [`SliceResult`] — instructions, cycles, IPC/MPKI/latency floats and
 //! the embedded frontend/memory stat blocks — so any divergence in any
 //! counter fails, not just the three headline floats.
 
+mod common;
+
 use exynos_bench::batch::PopulationBatch;
 use exynos_bench::experiments as exp;
+use exynos_core::batch::{CachedStream, ChunkCache, CHUNK_LEN};
 use exynos_core::builder::SimBuilder;
 use exynos_core::config::CoreConfig;
 use exynos_core::fault::FaultPlan;
 use exynos_core::sim::Simulator;
-use exynos_trace::{standard_suite, SlicePlan};
+use exynos_trace::{standard_suite, SlicePlan, SliceSpec};
+use std::sync::Arc;
 
 /// A stall-injection fault plan: deterministic pipeline perturbation
 /// with no error paths, so scalar and batched runs stay comparable.
@@ -40,6 +45,11 @@ fn member(g: usize, faults: bool) -> Simulator {
     }
 }
 
+/// A cursor over `slice`'s stream through a cache that keeps nothing.
+fn zero_budget_stream(slice: &SliceSpec) -> CachedStream {
+    CachedStream::for_slice(Arc::new(ChunkCache::with_budget(Some(0))), slice)
+}
+
 /// Byte-equal digest of a slice result: the full Debug rendering.
 fn digest(r: &exynos_core::sim::SliceResult) -> String {
     format!("{r:?}")
@@ -60,8 +70,8 @@ fn assert_width_matches(width: usize, faults: bool, slice_idx: usize, plan: Slic
     for g in 0..width {
         batch.push(member(g, faults));
     }
-    let mut shared = suite[slice_idx].build().unwrap();
-    let results = exp::must(batch.run_slice_lockstep(&mut *shared, plan));
+    let mut stream = zero_budget_stream(&suite[slice_idx]);
+    let results = exp::must(batch.run_slice(&mut stream, plan));
     assert_eq!(results.len(), width);
     for (g, r) in results.iter().enumerate() {
         assert_eq!(
@@ -106,16 +116,10 @@ fn all_six_generations_match_on_every_suite_family() {
 
 #[test]
 fn batched_population_is_bit_identical_to_scalar_engine() {
-    let scalar = exp::run_population_with_threads(1, 500, 800, 1);
-    let batched = exp::run_population_batched(1, 500, 800, 1);
-    assert_eq!(scalar.len(), batched.len());
-    for (a, b) in scalar.iter().zip(&batched) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.gen, b.gen);
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.load_latency.to_bits(), b.load_latency.to_bits(), "{}/{}", a.name, a.gen);
-    }
+    let suite = standard_suite(1);
+    let scalar = common::scalar_sweep(&suite, 500, 800, 1);
+    let batched = exp::run_suite_batched(&suite, 500, 800, 1);
+    common::assert_records_eq(&scalar, &batched, "batched");
 }
 
 #[test]
@@ -139,11 +143,9 @@ fn warm_batches_forked_from_one_snapshot_match_scalar_forks() {
     for _ in 0..4 {
         batch.push(resume());
     }
-    let mut shared = slice.build().unwrap();
-    for _ in 0..warmup {
-        let _ = shared.next_inst();
-    }
-    let batched = exp::must(batch.run_slice_lockstep(&mut *shared, SlicePlan::new(0, detail)));
+    let mut stream = zero_budget_stream(slice);
+    stream.skip(warmup);
+    let batched = exp::must(batch.run_slice(&mut stream, SlicePlan::new(0, detail)));
     // Scalar forks: each resumes the same image with a private stream.
     for (m, b) in batched.iter().enumerate() {
         let mut sim = resume();
@@ -160,25 +162,11 @@ fn warm_batches_forked_from_one_snapshot_match_scalar_forks() {
 fn warm_population_batched_matches_scalar_warm_and_cold() {
     let (scale, warmup, detail) = (1, 1_000u64, 700u64);
     let pool = exp::build_warm_pool(scale, warmup, 1);
-    let cold = exp::run_population_with_threads(scale, warmup, detail, 1);
-    let warm_scalar = exp::run_population_warm_scalar(&pool, detail, 1);
+    let cold = common::scalar_sweep(&standard_suite(scale), warmup, detail, 1);
+    let warm_scalar = common::scalar_warm_sweep(&pool, detail, 1);
     let warm_batched = exp::run_population_warm(&pool, detail, 1);
-    for (label, warm) in [("scalar", &warm_scalar), ("batched", &warm_batched)] {
-        assert_eq!(cold.len(), warm.len());
-        for (a, b) in cold.iter().zip(warm.iter()) {
-            assert_eq!(a.name, b.name, "warm {label}");
-            assert_eq!(a.gen, b.gen, "warm {label}");
-            assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "warm {label} {}/{}", a.name, a.gen);
-            assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "warm {label} {}/{}", a.name, a.gen);
-            assert_eq!(
-                a.load_latency.to_bits(),
-                b.load_latency.to_bits(),
-                "warm {label} {}/{}",
-                a.name,
-                a.gen
-            );
-        }
-    }
+    common::assert_records_eq(&cold, &warm_scalar, "warm scalar");
+    common::assert_records_eq(&cold, &warm_batched, "warm batched");
 }
 
 /// The acceptance gate for program-driven traces: every embedded corpus
@@ -198,8 +186,8 @@ fn program_slices_match_scalar_across_all_generations() {
         for g in 0..6 {
             batch.push(member(g, false));
         }
-        let mut shared = slice.build().unwrap();
-        let results = exp::must(batch.run_slice_lockstep(&mut *shared, plan));
+        let mut stream = zero_budget_stream(slice);
+        let results = exp::must(batch.run_slice(&mut stream, plan));
         for (g, b) in results.iter().enumerate() {
             let mut sim = member(g, false);
             let mut gen = slice.build().unwrap();
@@ -210,37 +198,27 @@ fn program_slices_match_scalar_across_all_generations() {
 }
 
 /// The mixed catalog (synthetic families + program slices) through the
-/// suite-parameterized sweep entry points: batched must stay
-/// bit-identical to scalar with programs in the population.
+/// production sweep: batched must stay bit-identical to scalar with
+/// programs in the population.
 #[test]
 fn mixed_catalog_batched_matches_scalar() {
     let suite = exp::catalog_suite(1, true);
     assert!(suite.iter().any(|s| s.name.starts_with("program/")), "corpus missing from catalog");
-    let scalar = exp::run_suite_with_threads(&suite, 300, 500, 1);
+    let scalar = common::scalar_sweep(&suite, 300, 500, 1);
     let batched = exp::run_suite_batched(&suite, 300, 500, 1);
-    assert_eq!(scalar.len(), batched.len());
-    for (a, b) in scalar.iter().zip(&batched) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.gen, b.gen);
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.load_latency.to_bits(), b.load_latency.to_bits(), "{}/{}", a.name, a.gen);
-    }
+    common::assert_records_eq(&scalar, &batched, "mixed catalog");
 }
 
-/// The chunk-cache acceptance matrix: the cached lockstep path must be
+/// The chunk-cache acceptance matrix: the lockstep engine must be
 /// bit-identical to the scalar reference for every cache budget — zero
 /// (pure pass-through), one byte (every insert immediately evicted, so
 /// chunks rematerialize constantly), exactly one chunk, and unbounded —
-/// in both serial and pipelined (double-buffered producer) modes, with
-/// all six generations in the batch, with and without fault injection.
-/// The plan deliberately crosses a canonical chunk boundary so block
-/// splits at the chunk edge and at the warmup/detail boundary are both
-/// exercised.
+/// with all six generations in the batch, with and without fault
+/// injection. The plan deliberately crosses a canonical chunk boundary
+/// so block splits at the chunk edge and at the warmup/detail boundary
+/// are both exercised.
 #[test]
-fn cached_budgets_and_pipelining_match_scalar() {
-    use exynos_core::batch::{CachedStream, ChunkCache, CHUNK_LEN};
-    use std::sync::Arc;
+fn cached_budgets_match_scalar() {
     let chunk_bytes = (CHUNK_LEN * std::mem::size_of::<exynos_trace::Inst>()) as u64;
     let suite = standard_suite(1);
     let slice_idx = 0;
@@ -250,21 +228,18 @@ fn cached_budgets_and_pipelining_match_scalar() {
             (0..6).map(|g| scalar_reference(g, faults, slice_idx, plan)).collect();
         for budget in [Some(0), Some(1), Some(chunk_bytes), None] {
             let cache = Arc::new(ChunkCache::with_budget(budget));
-            for pipelined in [false, true] {
-                let mut batch = PopulationBatch::new();
-                for g in 0..6 {
-                    batch.push(member(g, faults));
-                }
-                let mut stream = CachedStream::for_slice(Arc::clone(&cache), &suite[slice_idx]);
-                let results = exp::must(batch.run_slice_cached(&mut stream, plan, pipelined));
-                for (g, r) in results.iter().enumerate() {
-                    assert_eq!(
-                        refs[g],
-                        digest(r),
-                        "member {g} diverged (faults {faults}, budget {budget:?}, \
-                         pipelined {pipelined})"
-                    );
-                }
+            let mut batch = PopulationBatch::new();
+            for g in 0..6 {
+                batch.push(member(g, faults));
+            }
+            let mut stream = CachedStream::for_slice(Arc::clone(&cache), &suite[slice_idx]);
+            let results = exp::must(batch.run_slice(&mut stream, plan));
+            for (g, r) in results.iter().enumerate() {
+                assert_eq!(
+                    refs[g],
+                    digest(r),
+                    "member {g} diverged (faults {faults}, budget {budget:?})"
+                );
             }
             let stats = cache.stats();
             if budget == Some(1) {
@@ -275,6 +250,24 @@ fn cached_budgets_and_pipelining_match_scalar() {
             }
         }
     }
+
+    // A warmup that ends mid-chunk: the straddling chunk is read once
+    // and split in place, so a zero-budget run of 30k records misses
+    // exactly once per canonical chunk it touches.
+    let plan = SlicePlan::new(10_000, 20_000);
+    let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+    let mut batch = PopulationBatch::new();
+    for g in 0..6 {
+        batch.push(member(g, false));
+    }
+    let mut stream = CachedStream::for_slice(Arc::clone(&cache), &suite[slice_idx]);
+    let results = exp::must(batch.run_slice(&mut stream, plan));
+    for (g, r) in results.iter().enumerate() {
+        assert_eq!(scalar_reference(g, false, slice_idx, plan), digest(r), "member {g} diverged");
+    }
+    let chunks = plan.total().div_ceil(CHUNK_LEN as u64);
+    assert_eq!(chunks, 4);
+    assert_eq!(cache.stats().misses, chunks, "each chunk materialized once: {:?}", cache.stats());
 }
 
 /// With the telemetry feature on, an instrumented scalar run must still
@@ -291,25 +284,13 @@ fn telemetry_instrumented_scalar_matches_batched() {
     for g in 0..6 {
         batch.push(member(g, false));
     }
-    let mut shared = slice.build().unwrap();
-    let batched = exp::must(batch.run_slice_lockstep(&mut *shared, plan));
+    let mut stream = CachedStream::for_slice(Arc::new(ChunkCache::unbounded()), slice);
+    let batched = exp::must(batch.run_slice(&mut stream, plan));
     for (g, b) in batched.iter().enumerate() {
         let mut sim = member(g, false);
         let mut gen = slice.build().unwrap();
         let mut tel = Telemetry::new(TelemetryConfig { epoch_len: 250, event_capacity: 1 << 12 });
         let scalar = exp::must(sim.run_slice_with(&mut *gen, plan, &mut tel));
         assert_eq!(digest(&scalar), digest(b), "instrumented member {g} diverged");
-    }
-    // The cached pipelined path must agree with the same instrumented
-    // scalar reference: the cache serves records, not timing.
-    let cache = std::sync::Arc::new(exynos_core::batch::ChunkCache::unbounded());
-    let mut batch = PopulationBatch::new();
-    for g in 0..6 {
-        batch.push(member(g, false));
-    }
-    let mut stream = exynos_core::batch::CachedStream::for_slice(cache, slice);
-    let cached = exp::must(batch.run_slice_cached(&mut stream, plan, true));
-    for (b, c) in batched.iter().zip(&cached) {
-        assert_eq!(digest(b), digest(c), "cached pipelined diverged under telemetry build");
     }
 }

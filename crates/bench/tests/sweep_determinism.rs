@@ -1,9 +1,12 @@
-//! The parallel sweep executor must be a pure scheduling change: for any
-//! thread count, `run_population_with_threads` must return exactly the
-//! records the serial sweep returns — same catalog order, and every float
-//! identical to the bit.
+//! The production sweep must be a pure scheduling change: for any thread
+//! count, `run_suite_batched` must return exactly the records of the
+//! scalar per-(generation, slice) oracle — same catalog order, and every
+//! float identical to the bit.
 
-use exynos_bench::experiments::run_population_with_threads;
+mod common;
+
+use exynos_bench::experiments::run_suite_batched;
+use exynos_trace::standard_suite;
 
 /// Small windows keep the debug-build run fast; determinism does not
 /// depend on the window sizes.
@@ -12,41 +15,11 @@ const DETAIL: u64 = 2_000;
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let serial = run_population_with_threads(1, WARMUP, DETAIL, 1);
-    assert!(!serial.is_empty(), "reference sweep produced no records");
-    for threads in [2usize, 8] {
-        let parallel = run_population_with_threads(1, WARMUP, DETAIL, threads);
-        assert_eq!(
-            serial.len(),
-            parallel.len(),
-            "{threads} threads returned a different record count"
-        );
-        for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
-            assert_eq!(s.name, p.name, "record {i} out of order at {threads} threads");
-            assert_eq!(s.gen, p.gen, "record {i} generation mismatch at {threads} threads");
-            assert_eq!(
-                s.ipc.to_bits(),
-                p.ipc.to_bits(),
-                "record {i} ({} on {}) ipc differs at {threads} threads: {} vs {}",
-                s.name,
-                s.gen,
-                s.ipc,
-                p.ipc
-            );
-            assert_eq!(
-                s.mpki.to_bits(),
-                p.mpki.to_bits(),
-                "record {i} ({} on {}) mpki differs at {threads} threads",
-                s.name,
-                s.gen
-            );
-            assert_eq!(
-                s.load_latency.to_bits(),
-                p.load_latency.to_bits(),
-                "record {i} ({} on {}) load latency differs at {threads} threads",
-                s.name,
-                s.gen
-            );
-        }
+    let suite = standard_suite(1);
+    let oracle = common::scalar_sweep(&suite, WARMUP, DETAIL, 1);
+    assert!(!oracle.is_empty(), "reference sweep produced no records");
+    for threads in [1usize, 2, 8] {
+        let batched = run_suite_batched(&suite, WARMUP, DETAIL, threads);
+        common::assert_records_eq(&oracle, &batched, &format!("{threads} threads"));
     }
 }

@@ -485,19 +485,6 @@ impl BtbHierarchy {
         None
     }
 
-    /// Batched SoA probe: resolve `pc` against the L1 tag+target arrays
-    /// of every member of a lockstep population, appending one slot per
-    /// member to `out` (cleared first, member order preserved). Each
-    /// member's probe is the side-effect-free pow2-masked
-    /// [`BtbHierarchy::probe`] — no LRU movement, no statistics, no L2
-    /// fills — so population-wide dissection sweeps can interrogate BTB
-    /// contents without perturbing timing-visible state.
-    pub fn probe_batch(btbs: &[&BtbHierarchy], pc: u64, out: &mut Vec<Option<BtbEntry>>) {
-        out.clear();
-        out.reserve(btbs.len());
-        out.extend(btbs.iter().map(|b| b.probe(pc)));
-    }
-
     /// Update an existing entry wherever it currently lives (used for
     /// direction-counter and replication maintenance without changing
     /// residency).

@@ -193,10 +193,8 @@ impl Shp {
     /// Fill `out[..tables]` with the per-table row indices for `pc`
     /// under the given histories, returning the table count. Branchless:
     /// a zero-length interval folds to 0, so table 0's pure-PC index
-    /// needs no special case. The scalar [`Shp::predict`] and the batch
-    /// probe path share this kernel — same-geometry members of a
-    /// lockstep batch reuse one row set, because the indices depend only
-    /// on the (shared) trace-architectural histories and the geometry.
+    /// needs no special case. [`Shp::predict`] pairs it with the dot
+    /// product below.
     #[inline]
     pub fn row_set(
         &self,
@@ -307,47 +305,6 @@ pub fn apply_bias_delta(bias: i8, delta: i8) -> i8 {
     (bias as i32 + delta as i32).clamp(WEIGHT_MIN, WEIGHT_MAX) as i8
 }
 
-/// Batched SoA probe: predict the branch at `pc` for every member of a
-/// lockstep population in one pass, appending one [`ShpPrediction`] per
-/// member to `out` (cleared first) in member order.
-///
-/// Lockstep members consume the same trace, so the architectural
-/// GHIST/PHIST content is identical across them — only the weight
-/// tables and the per-branch BTB bias are member state. Consecutive
-/// same-geometry members therefore reuse one [`Shp::row_set`], and the
-/// per-member inner loop is the branchless pow2-masked dot product.
-/// Results are bit-identical to calling [`Shp::predict`] per member.
-///
-/// # Panics
-/// Panics if `biases` and `shps` have different lengths.
-pub fn predict_batch(
-    shps: &[&Shp],
-    pc: u64,
-    biases: &[i8],
-    ghist: &GlobalHistory,
-    phist: &PathHistory,
-    out: &mut Vec<ShpPrediction>,
-) {
-    assert_eq!(shps.len(), biases.len(), "one bias per member");
-    out.clear();
-    out.reserve(shps.len());
-    let mut m = 0;
-    while m < shps.len() {
-        let lead = shps[m];
-        let mut end = m + 1;
-        while end < shps.len() && shps[end].cfg == lead.cfg {
-            end += 1;
-        }
-        let mut indices = [0u16; 16];
-        let n = lead.row_set(pc, ghist, phist, &mut indices);
-        for i in m..end {
-            let sum = shps[i].cfg.bias_scale * biases[i] as i32 + shps[i].dot(&indices, n);
-            out.push(ShpPrediction { taken: sum >= 0, sum, indices, n: n as u8 });
-        }
-        m = end;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,41 +378,6 @@ mod tests {
             miss > 600,
             "random outcomes can't be predicted well, got {miss}/2000"
         );
-    }
-
-    #[test]
-    fn predict_batch_matches_scalar_across_geometries() {
-        // Mixed-geometry population: m1, m1, m3, m5, m5 — trained apart
-        // so weights differ, probed over shared histories.
-        let mut shps = vec![
-            Shp::new(ShpConfig::m1()),
-            Shp::new(ShpConfig::m1()),
-            Shp::new(ShpConfig::m3()),
-            Shp::new(ShpConfig::m5()),
-            Shp::new(ShpConfig::m5()),
-        ];
-        for (k, shp) in shps.iter_mut().enumerate() {
-            let _ = train_run(shp, 0x4000, 300, move |i, _| (i + k) % (k + 2) == 0);
-        }
-        let (mut g, mut p) = histories();
-        for i in 0..40 {
-            g.push(i % 3 == 0);
-            p.push(0x4000 + 4 * i);
-        }
-        let biases: Vec<i8> = vec![5, -3, 0, 127, -127];
-        let refs: Vec<&Shp> = shps.iter().collect();
-        let mut out = Vec::new();
-        for pc in [0x4000u64, 0x77F4, 0xDEAD_BEE0] {
-            predict_batch(&refs, pc, &biases, &g, &p, &mut out);
-            assert_eq!(out.len(), shps.len());
-            for (i, b) in out.iter().enumerate() {
-                let scalar = shps[i].predict(pc, biases[i], &g, &p);
-                assert_eq!(b.taken, scalar.taken);
-                assert_eq!(b.sum, scalar.sum);
-                assert_eq!(b.indices, scalar.indices);
-                assert_eq!(b.n, scalar.n);
-            }
-        }
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl MicroBtb {
     /// for `pc`, without touching the LRU stamp or lock bookkeeping.
     /// The direction logic is identical (edge bits, then the pow2-masked
     /// LHP row for difficult nodes); only the timing-visible state is
-    /// left alone, which is what batch dissection paths need.
+    /// left alone.
     pub fn probe(&self, pc: u64) -> UbtbPrediction {
         let Some(i) = self.find(pc) else {
             return UbtbPrediction::Miss;
@@ -220,16 +220,6 @@ impl MicroBtb {
             self.lhp[self.lhp_index(pc, n.local_history)] >= 0
         };
         UbtbPrediction::Hit { taken, target: n.taken_target }
-    }
-
-    /// Batched SoA probe: resolve `pc` against every member's graph,
-    /// appending one [`UbtbPrediction`] per member to `out` (cleared
-    /// first, member order preserved). Read-only — see
-    /// [`MicroBtb::probe`].
-    pub fn probe_batch(ubtbs: &[&MicroBtb], pc: u64, out: &mut Vec<UbtbPrediction>) {
-        out.clear();
-        out.reserve(ubtbs.len());
-        out.extend(ubtbs.iter().map(|u| u.probe(pc)));
     }
 
     /// Record the architectural outcome of the branch at `pc`, learning
@@ -524,9 +514,6 @@ mod tests {
         let predicted = u.predict(0x4000);
         assert_eq!(probed, predicted);
         assert_eq!(u.probe(0x9999), UbtbPrediction::Miss);
-        let mut out = Vec::new();
-        MicroBtb::probe_batch(&[&u, &u], 0x4000, &mut out);
-        assert_eq!(out, vec![probed, probed]);
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! configurations (the paper's §II design-space methodology). The trace
 //! generators are pure functions of `(SliceSpec, seed)`, so every member
 //! of such a group consumes an identical instruction stream — yet the
-//! serial per-member loop regenerates it once per member. An
-//! [`InstChunk`] decodes a block of records once and lets N simulators
-//! step over the shared slice ([`Simulator::run_block`]), amortizing
-//! generation cost across the whole group.
+//! serial per-member loop regenerates it once per member. A
+//! [`CachedStream`] hands out each block of decoded records once, from a
+//! [`ChunkCache`] shared by any number of consumers, and N simulators
+//! step over the shared block ([`Simulator::run_block`]), amortizing
+//! generation cost across the whole group. [`InstChunk`] is the plain
+//! reusable buffer for callers that drive a generator themselves.
 //!
 //! Chunked lockstep preserves bit-identity by construction: simulators
 //! share no mutable state, and each member sees the exact record
-//! sequence it would have seen stepping its own generator. The chunk is
-//! a reusable buffer — one allocation per group, refilled in place.
+//! sequence it would have seen stepping its own generator.
 //!
 //! [`Simulator::run_block`]: crate::sim::Simulator::run_block
 
@@ -120,11 +121,11 @@ struct CacheInner {
 /// values are `Arc<Vec<Inst>>` handed out to any consumer replaying the
 /// same stream. Eviction is LRU under a byte `budget`:
 ///
-/// * `None` — unbounded (the default for one-shot sweeps);
+/// * `None` — unbounded;
 /// * `Some(0)` — store nothing: every lookup misses, materialized chunks
 ///   go straight to the caller and are dropped after use. The cache is
-///   then a pure pass-through, which is what the bit-identity suite uses
-///   to prove caching is invisible to results;
+///   then a pure pass-through — what one-shot population sweeps use,
+///   since they read each chunk once;
 /// * `Some(n)` — evict least-recently-used whole chunks until resident
 ///   bytes fit `n` (an in-flight chunk's memory is freed only when its
 ///   consumers drop their `Arc`s, but it stops being findable).

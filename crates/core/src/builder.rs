@@ -1,9 +1,10 @@
 //! The one construction path for simulators.
 //!
-//! [`SimBuilder`] replaces the scattered "make a `CoreConfig`, call
-//! `Simulator::new`, then remember to call `attach_fault_injector` /
-//! `set_watchdog` / `set_strict_decode` in the right order" plumbing
-//! with a single fluent chain:
+//! [`SimBuilder`] is the only public way to construct a
+//! [`Simulator`]: instead of "make a `CoreConfig`, construct, then
+//! remember to call `attach_fault_injector` / `set_watchdog` /
+//! `set_strict_decode` in the right order", callers write a single
+//! fluent chain:
 //!
 //! ```
 //! use exynos_core::builder::SimBuilder;

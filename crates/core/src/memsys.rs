@@ -149,11 +149,6 @@ impl MemSystem {
         self.dram.stats()
     }
 
-    /// Read-only L1D array access (batched tag-probe paths).
-    pub fn l1d(&self) -> &exynos_mem::Cache {
-        &self.l1d
-    }
-
     /// L1D array stats.
     pub fn l1d_stats(&self) -> exynos_mem::CacheStats {
         self.l1d.stats()

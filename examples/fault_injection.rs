@@ -7,7 +7,6 @@
 
 use exynos::core::builder::SimBuilder;
 use exynos::core::config::CoreConfig;
-use exynos::core::sim::Simulator;
 use exynos::trace::gen::markov::{MarkovBranches, MarkovParams};
 use exynos::trace::SlicePlan;
 use exynos::{FaultPlan, SimError};

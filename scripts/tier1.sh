@@ -4,7 +4,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Every crate's unit, property and integration tests — including the
+# batch/sweep determinism suites that check the lockstep engine against
+# the scalar oracles in crates/bench/tests/common/.
+cargo test -q --workspace
 
 # Panic-site gate: library and binary code must propagate typed errors
 # (SimError / PredictorError / UocError) instead of unwrapping. Tests,
@@ -24,33 +27,6 @@ cargo test -q -p exynos-telemetry --no-default-features
 # JSONL covering the whole machine (>= 12 metrics from >= 5 crates).
 cargo run --release -q -p exynos-bench --bin harness -- metrics --quick 2>/dev/null \
   | python3 scripts/check_telemetry_schema.py
-
-# Bench smoke: the quick-mode reference sweep must run end to end and
-# leave a well-formed BENCH_sweep.json at the repo root. The warm-start
-# keys assert the checkpoint-forked sweep reproduced the cold results.
-cargo run --release -q -p exynos-bench --bin harness -- bench --quick
-test -s BENCH_sweep.json
-if command -v jq >/dev/null 2>&1; then
-  jq -e '.schema and .serial.steps_per_sec > 0 and .parallel.steps_per_sec > 0 and .bit_identical == true' BENCH_sweep.json >/dev/null
-  jq -e '.warm.pool_build_s > 0 and .warm.parallel_steps_per_sec > 0 and .warm_equals_cold == true' BENCH_sweep.json >/dev/null
-  # The warm rate must be computed over post-resume stepping only (the
-  # prep split is recorded alongside it), and the batched lockstep
-  # engine must beat the scalar serial baseline while staying
-  # bit-identical (asserted by .bit_identical above, which covers it).
-  jq -e '.warm.stepped_insts > 0 and .warm.parallel_stepping_s > 0' BENCH_sweep.json >/dev/null
-  jq -e '.batched.steps_per_sec > 0 and .batched.width >= 2 and .batched_speedup >= 1.0' BENCH_sweep.json >/dev/null
-  # The resident cached+pipelined warm sweep must not lose to the
-  # legacy image-decode warm sweep at the same thread count (reps after
-  # the first run from resident chunks, so min-of-N measures the warm
-  # steady state), and the cache must actually have been exercised.
-  jq -e '.pipelined_speedup >= 1.0' BENCH_sweep.json >/dev/null
-  jq -e '.chunk_cache.hits > 0 and .chunk_cache.misses > 0 and (.chunk_cache | has("evictions") and has("bytes"))' BENCH_sweep.json >/dev/null
-  # The comparison pass must record its mode honestly: a host without
-  # real parallelism runs (and labels) a serial fallback.
-  jq -e '(.mode == "parallel" and .threads > 1) or (.mode == "serial-fallback" and .threads == 1)' BENCH_sweep.json >/dev/null
-else
-  python3 -m json.tool BENCH_sweep.json >/dev/null
-fi
 
 # Checkpoint round-trip smoke: a resume from an on-disk image must emit
 # byte-identical telemetry to the run that wrote it.
