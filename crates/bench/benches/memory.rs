@@ -35,10 +35,12 @@ fn bench_stride_engine(c: &mut Criterion) {
         let mut line = 0u64;
         let mut phase = 0usize;
         let pat = [2u64, 2, 5];
+        let mut out = Vec::new();
         b.iter(|| {
             line += pat[phase];
             phase = (phase + 1) % 3;
-            std::hint::black_box(e.on_demand_line(line).len())
+            e.on_demand_line_into(line, &mut out);
+            std::hint::black_box(out.len())
         })
     });
 }

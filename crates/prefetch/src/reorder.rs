@@ -65,18 +65,21 @@ impl AddressReorderBuffer {
     }
 
     /// Insert a load's cache-line address with its program-order sequence
-    /// number; returns the lines now releasable *in program order*.
-    pub fn insert(&mut self, seq: u64, line: u64) -> Vec<u64> {
+    /// number, writing the lines now releasable *in program order* into
+    /// `out` (cleared first).
+    pub fn insert_into(&mut self, seq: u64, line: u64, out: &mut Vec<u64>) {
+        out.clear();
         // Duplicate filter: deallocate entries to a recently seen line.
         if self.recent_lines.contains(&line) || self.pending.iter().any(|&(_, l)| l == line) {
             self.filtered += 1;
             // Skip the sequence slot so in-order release continues.
             if seq == self.next_seq {
                 self.next_seq += 1;
-                return self.drain_ready();
+                self.drain_ready_into(out);
+            } else {
+                self.pending.push((seq, u64::MAX)); // tombstone
             }
-            self.pending.push((seq, u64::MAX)); // tombstone
-            return Vec::new();
+            return;
         }
         self.pending.push((seq, line));
         if self.pending.len() > self.capacity {
@@ -85,14 +88,12 @@ impl AddressReorderBuffer {
             self.pending.sort_unstable_by_key(|&(s, _)| s);
             let (s, l) = self.pending.remove(0);
             self.next_seq = self.next_seq.max(s + 1);
-            let mut out = if l == u64::MAX { Vec::new() } else { vec![l] };
-            for x in &out {
-                self.remember(*x);
+            if l != u64::MAX {
+                self.remember(l);
+                out.push(l);
             }
-            out.extend(self.drain_ready());
-            return out;
         }
-        self.drain_ready()
+        self.drain_ready_into(out);
     }
 
     fn remember(&mut self, line: u64) {
@@ -105,22 +106,16 @@ impl AddressReorderBuffer {
         self.recent_lines.push_back(line);
     }
 
-    fn drain_ready(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        loop {
-            match self.pending.iter().position(|&(s, _)| s == self.next_seq) {
-                Some(i) => {
-                    let (_, line) = self.pending.swap_remove(i);
-                    self.next_seq += 1;
-                    if line != u64::MAX {
-                        self.remember(line);
-                        out.push(line);
-                    }
-                }
-                None => break,
+    /// Append the pending lines that are next in sequence to `out`.
+    fn drain_ready_into(&mut self, out: &mut Vec<u64>) {
+        while let Some(i) = self.pending.iter().position(|&(s, _)| s == self.next_seq) {
+            let (_, line) = self.pending.swap_remove(i);
+            self.next_seq += 1;
+            if line != u64::MAX {
+                self.remember(line);
+                out.push(line);
             }
         }
-        out
     }
 }
 
@@ -128,46 +123,53 @@ impl AddressReorderBuffer {
 mod tests {
     use super::*;
 
+    /// Insert, returning the released lines.
+    fn insert(b: &mut AddressReorderBuffer, seq: u64, line: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        b.insert_into(seq, line, &mut out);
+        out
+    }
+
     #[test]
     fn releases_in_program_order() {
         let mut b = AddressReorderBuffer::new(8, 4);
-        assert!(b.insert(2, 0x30).is_empty());
-        assert!(b.insert(1, 0x20).is_empty());
-        let out = b.insert(0, 0x10);
+        assert!(insert(&mut b, 2, 0x30).is_empty());
+        assert!(insert(&mut b, 1, 0x20).is_empty());
+        let out = insert(&mut b, 0, 0x10);
         assert_eq!(out, vec![0x10, 0x20, 0x30]);
     }
 
     #[test]
     fn duplicates_filtered() {
         let mut b = AddressReorderBuffer::new(8, 4);
-        let out = b.insert(0, 0x10);
+        let out = insert(&mut b, 0, 0x10);
         assert_eq!(out, vec![0x10]);
-        let out = b.insert(1, 0x10); // duplicate line
+        let out = insert(&mut b, 1, 0x10); // duplicate line
         assert!(out.is_empty());
         assert_eq!(b.stats().filtered, 1);
         // Sequence continues past the filtered slot.
-        let out = b.insert(2, 0x20);
+        let out = insert(&mut b, 2, 0x20);
         assert_eq!(out, vec![0x20]);
     }
 
     #[test]
     fn duplicate_mid_window_does_not_stall_release() {
         let mut b = AddressReorderBuffer::new(8, 4);
-        b.insert(0, 0x10);
-        assert!(b.insert(2, 0x30).is_empty());
+        insert(&mut b, 0, 0x10);
+        assert!(insert(&mut b, 2, 0x30).is_empty());
         // seq 1 is a duplicate of 0x10: tombstoned; 0x30 must release once
         // seq 1 resolves.
-        let out = b.insert(1, 0x10);
+        let out = insert(&mut b, 1, 0x10);
         assert_eq!(out, vec![0x30]);
     }
 
     #[test]
     fn overflow_releases_oldest_early() {
         let mut b = AddressReorderBuffer::new(2, 0);
-        assert!(b.insert(5, 0x50).is_empty());
-        assert!(b.insert(3, 0x30).is_empty());
+        assert!(insert(&mut b, 5, 0x50).is_empty());
+        assert!(insert(&mut b, 3, 0x30).is_empty());
         // Third insert overflows: the oldest (seq 3) releases early.
-        let out = b.insert(7, 0x70);
+        let out = insert(&mut b, 7, 0x70);
         assert!(out.contains(&0x30));
         assert_eq!(b.stats().overflows, 1);
     }

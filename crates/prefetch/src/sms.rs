@@ -128,9 +128,17 @@ impl SmsEngine {
 
     /// Observe a demand miss at `vaddr` by the load at `pc`.
     /// `stride_confirming` suppresses training while the multi-stride
-    /// engine is locked onto the stream (§VII.C arbitration). Returns the
-    /// prefetches to issue (non-empty only on a primary-load re-visit).
-    pub fn on_demand_miss(&mut self, pc: u64, vaddr: u64, stride_confirming: bool) -> Vec<SmsPrefetch> {
+    /// engine is locked onto the stream (§VII.C arbitration). Writes the
+    /// prefetches to issue into `out` (cleared first; non-empty only on a
+    /// primary-load re-visit).
+    pub fn on_demand_miss_into(
+        &mut self,
+        pc: u64,
+        vaddr: u64,
+        stride_confirming: bool,
+        out: &mut Vec<SmsPrefetch>,
+    ) {
+        out.clear();
         self.stamp += 1;
         let region = vaddr / REGION_BYTES;
         let line_in_region = ((vaddr % REGION_BYTES) / 64) as usize;
@@ -138,17 +146,16 @@ impl SmsEngine {
         if let Some(ar) = self.active.iter_mut().find(|a| a.region == region) {
             ar.touched |= 1 << line_in_region;
             ar.lru = self.stamp;
-            return Vec::new();
+            return;
         }
         if stride_confirming {
             self.stats.suppressed += 1;
-            return Vec::new();
+            return;
         }
         // First miss to the region: this is a primary load. Open a
         // generation and predict from the PC's remembered signature.
         self.open_generation(region, pc, line_in_region);
         let base_line = region * (REGION_BYTES / 64);
-        let mut out = Vec::new();
         if let Some(sig) = self.signatures.iter_mut().find(|s| s.pc == pc) {
             sig.lru = self.stamp;
             for (off, &conf) in sig.conf.iter().enumerate() {
@@ -170,7 +177,6 @@ impl SmsEngine {
                 }
             }
         }
-        out
     }
 
     fn open_generation(&mut self, region: u64, pc: u64, first_line: usize) {
@@ -246,12 +252,19 @@ impl SmsEngine {
 mod tests {
     use super::*;
 
+    /// Observe a demand miss, returning the prefetches.
+    fn miss(e: &mut SmsEngine, pc: u64, vaddr: u64, confirming: bool) -> Vec<SmsPrefetch> {
+        let mut out = Vec::new();
+        e.on_demand_miss_into(pc, vaddr, confirming, &mut out);
+        out
+    }
+
     /// Visit `region` with the signature offsets {0, 3, 7} via primary pc.
     fn visit(e: &mut SmsEngine, pc: u64, region: u64, offs: &[u64]) -> Vec<SmsPrefetch> {
         let base = region * REGION_BYTES;
-        let mut out = e.on_demand_miss(pc, base + offs[0] * 64, false);
+        let mut out = miss(e, pc, base + offs[0] * 64, false);
         for &o in &offs[1..] {
-            out.extend(e.on_demand_miss(pc + 4, base + o * 64, false));
+            out.extend(miss(e, pc + 4, base + o * 64, false));
         }
         out
     }
@@ -265,7 +278,7 @@ mod tests {
         }
         e.flush_generations();
         // A fresh region visit by the same primary PC prefetches 3 and 7.
-        let pf = e.on_demand_miss(0x4000, 1000 * REGION_BYTES, false);
+        let pf = miss(&mut e, 0x4000, 1000 * REGION_BYTES, false);
         let lines: Vec<u64> = pf.iter().map(|p| p.line % 64).collect();
         assert!(lines.contains(&3), "prefetches: {pf:?}");
         assert!(lines.contains(&7));
@@ -281,7 +294,7 @@ mod tests {
             visit(&mut e, 0x4000, r, &offs);
         }
         e.flush_generations();
-        let pf = e.on_demand_miss(0x4000, 2000 * REGION_BYTES, false);
+        let pf = miss(&mut e, 0x4000, 2000 * REGION_BYTES, false);
         let l1_lines: Vec<u64> = pf
             .iter()
             .filter(|p| p.target == SmsTarget::L1)
@@ -294,7 +307,7 @@ mod tests {
     #[test]
     fn stride_arbitration_suppresses_training() {
         let mut e = SmsEngine::new(SmsConfig::default());
-        let pf = e.on_demand_miss(0x4000, 55 * REGION_BYTES, true);
+        let pf = miss(&mut e, 0x4000, 55 * REGION_BYTES, true);
         assert!(pf.is_empty());
         assert_eq!(e.stats().suppressed, 1);
         assert_eq!(e.stats().generations, 0);
@@ -308,8 +321,8 @@ mod tests {
             visit(&mut e, 0x8000, 2 * r + 1, &[0, 9]);
         }
         e.flush_generations();
-        let pf_a = e.on_demand_miss(0x4000, 3000 * REGION_BYTES, false);
-        let pf_b = e.on_demand_miss(0x8000, 3001 * REGION_BYTES, false);
+        let pf_a = miss(&mut e, 0x4000, 3000 * REGION_BYTES, false);
+        let pf_b = miss(&mut e, 0x8000, 3001 * REGION_BYTES, false);
         assert!(pf_a.iter().any(|p| p.line % 64 == 2));
         assert!(!pf_a.iter().any(|p| p.line % 64 == 9));
         assert!(pf_b.iter().any(|p| p.line % 64 == 9));
@@ -324,7 +337,7 @@ mod tests {
             visit(&mut e, 0x4000, r, &offs);
         }
         e.flush_generations();
-        let pf = e.on_demand_miss(0x4000, 4000 * REGION_BYTES, false);
+        let pf = miss(&mut e, 0x4000, 4000 * REGION_BYTES, false);
         let of11: Vec<&SmsPrefetch> = pf.iter().filter(|p| p.line % 64 == 11).collect();
         if let Some(p) = of11.first() {
             assert_eq!(p.target, SmsTarget::L2Only, "half-confident offsets stay in L2");

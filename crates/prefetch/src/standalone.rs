@@ -132,17 +132,9 @@ impl StandalonePrefetcher {
     }
 
     /// Observe an L2-level access (demand or core prefetch) at physical
-    /// 64 B `line`. Returns lines to prefetch (empty in low-confidence
-    /// mode).
-    pub fn on_l2_access(&mut self, line: u64, is_demand: bool) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.on_l2_access_into(line, is_demand, &mut out);
-        out
-    }
-
-    /// As [`StandalonePrefetcher::on_l2_access`], but writing the prefetch
-    /// lines into `out` (cleared first) so callers can reuse one buffer
-    /// across accesses instead of allocating per call.
+    /// 64 B `line`, writing the lines to prefetch into `out` (cleared
+    /// first; left empty in low-confidence mode) so callers can reuse one
+    /// buffer across accesses.
     pub fn on_l2_access_into(&mut self, line: u64, is_demand: bool, out: &mut Vec<u64>) {
         out.clear();
         self.stamp += 1;
@@ -275,9 +267,11 @@ mod tests {
 
     fn walk(p: &mut StandalonePrefetcher, start_line: u64, stride: i64, n: usize) -> Vec<u64> {
         let mut out = Vec::new();
+        let mut pf = Vec::new();
         let mut l = start_line as i64;
         for _ in 0..n {
-            out.extend(p.on_l2_access(l as u64, true));
+            p.on_l2_access_into(l as u64, true, &mut pf);
+            out.extend_from_slice(&pf);
             l += stride;
         }
         out

@@ -162,9 +162,10 @@ impl MultiStrideEngine {
         self.streams.iter().any(|s| s.pattern.is_some())
     }
 
-    /// Train on a demand-miss cache line (program order, post-filter) and
-    /// return the lines to prefetch.
-    pub fn on_demand_line(&mut self, line: u64) -> Vec<u64> {
+    /// Train on a demand-miss cache line (program order, post-filter),
+    /// writing the lines to prefetch into `out` (cleared first).
+    pub fn on_demand_line_into(&mut self, line: u64, out: &mut Vec<u64>) {
+        out.clear();
         self.stamp += 1;
         self.stats.trained += 1;
         let line = line as i64;
@@ -175,7 +176,7 @@ impl MultiStrideEngine {
         let s = &mut self.streams[si];
         let delta = line - s.last_line;
         if delta == 0 {
-            return Vec::new();
+            return;
         }
         s.last_line = line;
         s.deltas.push_back(delta);
@@ -234,7 +235,7 @@ impl MultiStrideEngine {
                 s.ahead = 0;
                 self.stats.locks += 1;
             } else {
-                return Vec::new();
+                return;
             }
         }
         // Skip-ahead: if the demand stream overtook the frontier, jump the
@@ -242,7 +243,7 @@ impl MultiStrideEngine {
         // skip ahead of the demand stream, avoiding redundant late
         // prefetches").
         let Some((pat, phase)) = s.pattern.clone() else {
-            return Vec::new();
+            return;
         };
         let dir: i64 = pat.iter().sum();
         let overtaken = if dir >= 0 { line >= s.frontier } else { line <= s.frontier };
@@ -255,7 +256,6 @@ impl MultiStrideEngine {
             s.ahead = 0;
         }
         // Issue prefetches up to `degree` pattern-steps ahead.
-        let mut out = Vec::new();
         while s.ahead < s.degree.degree() {
             let d = pat[s.frontier_phase];
             s.frontier += d;
@@ -285,7 +285,6 @@ impl MultiStrideEngine {
                 s.expected.push_back(a);
             }
         }
-        out
     }
 
     fn confirm(&mut self, line: i64) {
@@ -371,8 +370,10 @@ mod tests {
 
     fn drive(engine: &mut MultiStrideEngine, lines: &[u64]) -> Vec<u64> {
         let mut out = Vec::new();
+        let mut pf = Vec::new();
         for &l in lines {
-            out.extend(engine.on_demand_line(l));
+            engine.on_demand_line_into(l, &mut pf);
+            out.extend_from_slice(&pf);
         }
         out
     }
@@ -485,10 +486,10 @@ mod tests {
         drive(&mut e, &seq);
         // Demand jumps far ahead along the same pattern (prefetches were
         // too slow / dropped).
-        let _ = e.on_demand_line(55_300);
+        let _ = drive(&mut e, &[55_300]);
         // This lands within the match radius? No (300 > 64) — use a
         // nearer jump instead.
-        let _ = e.on_demand_line(55_040);
+        let _ = drive(&mut e, &[55_040]);
         assert!(e.stats().skip_aheads >= 1);
     }
 }

@@ -139,16 +139,8 @@ impl TwoPassController {
     }
 
     /// L1 miss buffers freed: drain up to `buffers` fills whose data is
-    /// ready at `now`. Returns the lines to fill into the L1.
-    pub fn drain_ready(&mut self, now: u64, buffers: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.drain_ready_into(now, buffers, &mut out);
-        out
-    }
-
-    /// As [`TwoPassController::drain_ready`], but writing the lines into
-    /// `out` (cleared first) so callers can reuse one buffer across drains
-    /// instead of allocating per call.
+    /// ready at `now`, writing the lines to fill into the L1 into `out`
+    /// (cleared first) so callers can reuse one buffer across drains.
     pub fn drain_ready_into(&mut self, now: u64, buffers: usize, out: &mut Vec<u64>) {
         out.clear();
         let mut rotated = 0;
@@ -232,12 +224,13 @@ mod tests {
         c.enqueue(2, false, 10);
         c.enqueue(3, false, 10);
         // At t=50 only lines 2 and 3 are ready; 1 buffer available.
-        let out = c.drain_ready(50, 1);
+        let mut out = Vec::new();
+        c.drain_ready_into(50, 1, &mut out);
         assert_eq!(out, vec![2]);
-        let out = c.drain_ready(50, 4);
+        c.drain_ready_into(50, 4, &mut out);
         assert_eq!(out, vec![3]);
         // Line 1 becomes ready later.
-        let out = c.drain_ready(120, 4);
+        c.drain_ready_into(120, 4, &mut out);
         assert_eq!(out, vec![1]);
         assert_eq!(c.pending_len(), 0);
     }

@@ -37,9 +37,11 @@ proptest! {
         }
         let mut buf = AddressReorderBuffer::new(64, 0); // no dup filter
         let mut released = Vec::new();
+        let mut out = Vec::new();
         for &seq in &order {
             // Distinct line per sequence number.
-            released.extend(buf.insert(seq as u64, 1000 + seq as u64));
+            buf.insert_into(seq as u64, 1000 + seq as u64, &mut out);
+            released.extend_from_slice(&out);
         }
         prop_assert_eq!(released.len(), 64, "all lines release once all arrive");
         for w in released.windows(2) {
@@ -65,8 +67,10 @@ proptest! {
         let mut line = base;
         let mut idx = 0usize;
         let mut all = Vec::new();
+        let mut out = Vec::new();
         for _ in 0..200 {
-            all.extend(e.on_demand_line(line as u64));
+            e.on_demand_line_into(line as u64, &mut out);
+            all.extend_from_slice(&out);
             line += pattern[idx % pattern.len()];
             idx += 1;
         }
@@ -83,9 +87,11 @@ proptest! {
         visits in prop::collection::vec((0u64..512, 0u64..64), 200),
     ) {
         let mut e = SmsEngine::new(SmsConfig::default());
+        let mut out = Vec::new();
         for (region, off) in visits {
             let vaddr = region * 4096 + off * 64;
-            for pf in e.on_demand_miss(0x4000, vaddr, false) {
+            e.on_demand_miss_into(0x4000, vaddr, false, &mut out);
+            for pf in &out {
                 prop_assert_eq!(pf.line / 64, region, "prefetch left its region");
             }
         }
@@ -96,10 +102,11 @@ proptest! {
     fn twopass_queue_bounded(ops in prop::collection::vec((0u64..4096, any::<bool>(), 0u64..100), 300)) {
         let mut c = TwoPassController::new(16, 8);
         let mut now = 0u64;
+        let mut out = Vec::new();
         for (line, drain, dur) in ops {
             now += 1;
             if drain {
-                let _ = c.drain_ready(now, 4);
+                c.drain_ready_into(now, 4, &mut out);
             } else {
                 let _ = c.enqueue(line, false, now + dur);
             }
@@ -114,8 +121,9 @@ proptest! {
             promote_score: i32::MAX, // stay in low confidence forever
             ..Default::default()
         });
+        let mut out = Vec::new();
         for l in lines {
-            let out = p.on_l2_access(l, true);
+            p.on_l2_access_into(l, true, &mut out);
             prop_assert!(out.is_empty(), "low-confidence mode must not issue");
         }
     }
