@@ -20,6 +20,8 @@ pub mod cache;
 pub mod config;
 pub mod mshr;
 pub mod observe;
+#[cfg(test)]
+mod oracle;
 pub mod tlb;
 
 pub use cache::{
