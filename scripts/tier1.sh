@@ -9,6 +9,11 @@ cargo build --release
 # the scalar oracles in crates/bench/tests/common/.
 cargo test -q --workspace
 
+# Benchmark build gate: the e2ebench package (its own workspace) calls
+# the WarmPool and sweep API through e2ebench/src/adapter.rs, so an API
+# change that breaks it fails here rather than at the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 # Panic-site gate: library and binary code must propagate typed errors
 # (SimError / PredictorError / UocError) instead of unwrapping. Tests,
 # examples and benches are exempt (no --all-targets) — unwrap there is a
