@@ -1,9 +1,9 @@
 //! The bench-side [`JobRunner`]: routes service-tier jobs onto the
 //! existing sweep machinery.
 //!
-//! Sweep jobs without robustness overrides share warm checkpoint pools
-//! across requests, keyed by `(scale, warmup)` — the first request of a
-//! shape pays the warmup, every later one forks the in-memory images.
+//! Sweep jobs without robustness overrides share warm pools across
+//! requests, keyed by `(scale, warmup)` — the first request of a shape
+//! pays the warmup, every later one forks the pool's warmed residents.
 //! Jobs *with* overrides (chaos plans, stall injection, watchdog or
 //! decode knobs) bypass the shared pools: their simulators carry fault
 //! injectors that must start from cold state to be reproducible.
